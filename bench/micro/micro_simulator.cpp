@@ -1,10 +1,14 @@
 // Microbenchmarks: the GPU performance-model substrate — analytical
 // evaluation per kernel, the memoized cache path the experiments actually
-// hit, and the exact-vs-fast coalescing analysis.
+// hit, one BenchmarkContext measurement as every search makes it, and the
+// exact-vs-fast coalescing analysis.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "harness/context.hpp"
 #include "imagecl/benchmark_suite.hpp"
 #include "simgpu/coalescing.hpp"
 #include "simgpu/perf_model.hpp"
@@ -38,6 +42,29 @@ void BM_CachedModelHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachedModelHit);
+
+// BenchmarkContext::measure_us on harris/titanv over a fixed stream of
+// paper-space configurations, invalid ones included as SMBO proposes them.
+// Threads(4) calls it from four threads at once, as run_study's workers do.
+void BM_ContextMeasure(benchmark::State& state) {
+  constexpr std::size_t kStream = 4096;  // a power of two, so a mask wraps it
+  static const harness::BenchmarkContext context(imagecl::benchmark_by_name("harris"),
+                                                 simgpu::titan_v(), 0, 1);
+  static const std::vector<tuner::Configuration> stream = [] {
+    Rng rng(11);
+    std::vector<tuner::Configuration> configs(kStream);
+    for (tuner::Configuration& config : configs) config = context.space().sample(rng);
+    return configs;
+  }();
+  const auto thread = static_cast<std::size_t>(state.thread_index());
+  Rng rng(seed_combine(12, thread));
+  std::size_t next = thread * (kStream / 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(context.measure_us(stream[next], rng));
+    next = (next + 1) & (kStream - 1);
+  }
+}
+BENCHMARK(BM_ContextMeasure)->Threads(1)->Threads(4);
 
 void BM_CoalescingExactVsFast(benchmark::State& state, bool fast) {
   const simgpu::GpuArch arch = simgpu::titan_v();

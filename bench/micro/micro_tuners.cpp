@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "tuner/gp/bo_gp.hpp"
 #include "tuner/registry.hpp"
 
 namespace {
@@ -44,26 +43,6 @@ BENCHMARK_CAPTURE(BM_AlgorithmRun, botpe, "botpe")->Arg(100)->Arg(400);
 BENCHMARK_CAPTURE(BM_AlgorithmRun, sa, "sa")->Arg(100);
 BENCHMARK_CAPTURE(BM_AlgorithmRun, pso, "pso")->Arg(100);
 BENCHMARK_CAPTURE(BM_AlgorithmRun, bandit, "bandit")->Arg(100);
-
-// Pipelined vs serial ask path for BO GP, same seed and budget: the
-// double-buffered candidate pipeline produces a bit-identical trace (see
-// BoGp.PipelinedAskProducesIdenticalTuneResult), so the delta here is pure
-// generation/scoring overlap.
-void BM_BoGpAskPath(benchmark::State& state) {
-  const bool pipelined = state.range(0) != 0;
-  const tuner::ParamSpace space = tuner::paper_search_space();
-  tuner::BoGpOptions options;
-  options.pipelined_ask = pipelined;
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    tuner::Evaluator evaluator(space, synthetic_objective(), 120);
-    Rng rng(seed_combine(43, seed++));
-    tuner::BoGp bo(options);
-    benchmark::DoNotOptimize(bo.minimize(space, evaluator, rng));
-  }
-  state.SetLabel(pipelined ? "pipelined" : "serial");
-}
-BENCHMARK(BM_BoGpAskPath)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -92,19 +91,12 @@ BenchmarkContext::BenchmarkContext(std::shared_ptr<const imagecl::Benchmark> ben
 double BenchmarkContext::true_time_us(const tuner::Configuration& config) const {
   if (!space_.in_range(config)) return std::numeric_limits<double>::quiet_NaN();
   const simgpu::KernelConfig kernel = to_kernel_config(config);
-  const std::uint64_t key = simgpu::CachedPerfModel::pack(kernel);
   double total = 0.0;
-  if (memoize_means_ && mean_cache_.lookup(key, total)) return total;
   for (const auto& cache : pass_caches_) {
     const double pass_time = cache->time_us(kernel);
-    if (std::isnan(pass_time)) {
-      // NaN is memoized too: "invalid" is as deterministic as any mean.
-      if (memoize_means_) mean_cache_.store(key, pass_time);
-      return pass_time;
-    }
+    if (std::isnan(pass_time)) return pass_time;
     total += pass_time;
   }
-  if (memoize_means_) mean_cache_.store(key, total);
   return total;
 }
 

@@ -12,7 +12,6 @@
 #include "imagecl/benchmark_suite.hpp"
 #include "simgpu/arch.hpp"
 #include "simgpu/faults.hpp"
-#include "simgpu/mean_cache.hpp"
 #include "simgpu/noise.hpp"
 #include "simgpu/perf_model.hpp"
 #include "tuner/dataset.hpp"
@@ -44,28 +43,10 @@ class BenchmarkContext {
   [[nodiscard]] double optimum_us() const noexcept { return optimum_us_; }
   [[nodiscard]] const tuner::Dataset& dataset() const noexcept { return dataset_; }
 
-  /// Noiseless model time; NaN when invalid. The deterministic mean is
-  /// memoized in a sharded table shared by every evaluator on this context
-  /// (the noise draw stays per-evaluation); memoized and recomputed results
-  /// are bit-identical, so this only changes wall-clock.
+  /// Noiseless model time; NaN when invalid. Sums the per-pass model
+  /// tables, which the constructor's exhaustive sweep has already filled,
+  /// so a call is one lock-free table read per pass.
   [[nodiscard]] double true_time_us(const tuner::Configuration& config) const;
-
-  /// Toggle the shared mean memo table (on by default; off recomputes the
-  /// per-pass sum every call — the reference path for tests/benches).
-  void set_mean_memoization(bool enabled) noexcept { memoize_means_ = enabled; }
-  [[nodiscard]] bool mean_memoization() const noexcept { return memoize_means_; }
-  [[nodiscard]] const simgpu::MeanCache& mean_cache() const noexcept {
-    return mean_cache_;
-  }
-
-  /// Cap the shared mean memo table (0 = unbounded). run_study derives a
-  /// capacity from the study budget — enough for every distinct
-  /// configuration the budgeted runs can measure plus the exhaustive
-  /// optimum sweep — instead of letting the table grow without relation to
-  /// the workload.
-  void set_mean_cache_capacity(std::size_t capacity) const noexcept {
-    mean_cache_.set_capacity(capacity);
-  }
 
   /// One noisy measurement (the objective the paper's pipeline exposes).
   [[nodiscard]] double measure_us(const tuner::Configuration& config,
@@ -119,9 +100,6 @@ class BenchmarkContext {
   simgpu::GpuArch arch_;
   /// One memoizing cache per kernel launch of the benchmark (pipelines sum).
   std::vector<std::unique_ptr<simgpu::CachedPerfModel>> pass_caches_;
-  /// Memo of the summed-over-passes mean, keyed by the packed launch config.
-  mutable simgpu::MeanCache mean_cache_;
-  bool memoize_means_ = true;
   simgpu::NoiseModel noise_;
   simgpu::FaultModel faults_;
   tuner::ParamSpace space_;

@@ -291,18 +291,6 @@ StudyResults run_study(const StudyConfig& config_in) {
       const simgpu::GpuArch& arch = simgpu::arch_by_name(arch_name);
       const BenchmarkContext context(imagecl::benchmark_by_name(benchmark_name), arch,
                                      dataset_size, config.master_seed, config.faults);
-      // Size the shared mean memo table from the work it will actually see:
-      // every budgeted measurement across the panel's cells plus the
-      // pre-collected dataset, with 2x headroom. Previously unbounded —
-      // sized independently of the study it served.
-      {
-        std::size_t measurements = 0;
-        for (std::size_t size : config.sample_sizes) {
-          measurements += config.experiments_for(size) * size;
-        }
-        context.set_mean_cache_capacity(2 * num_algos * measurements +
-                                        2 * dataset_size);
-      }
       panel.optimum_us = context.optimum_us();
       if (checkpointing && optimum_it == checkpoint.panel_optima.end()) {
         if (!checkpoint_append_panel(config.checkpoint_path, benchmark_name, arch_name,

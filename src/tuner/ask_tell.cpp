@@ -12,8 +12,7 @@ AskTellSession::AskTellSession(const ParamSpace& space,
       algorithm_(std::move(algorithm)),
       budget_(budget),
       retry_(retry),
-      name_(algorithm_ ? algorithm_->name() : ""),
-      pipeline_baseline_(ask_pipeline_totals()) {
+      name_(algorithm_ ? algorithm_->name() : "") {
   if (!algorithm_) throw std::invalid_argument("AskTellSession: null algorithm");
   // Dedicated thread by design (see the member's comment in the header).
   thread_ = std::thread([this, seed] { search_main(seed); });  // NOLINT(reprolint-raw-thread)
@@ -158,15 +157,6 @@ TuneResult AskTellSession::result_until(std::chrono::steady_clock::time_point de
 FailureCounters AskTellSession::counters() const {
   repro::MutexLock lock(mutex_);
   return counters_;
-}
-
-AskPipelineStats AskTellSession::pipeline_stats() const {
-  const AskPipelineStats now = ask_pipeline_totals();
-  AskPipelineStats delta;
-  delta.batches = now.batches - pipeline_baseline_.batches;
-  delta.overlapped = now.overlapped - pipeline_baseline_.overlapped;
-  delta.inline_runs = now.inline_runs - pipeline_baseline_.inline_runs;
-  return delta;
 }
 
 void AskTellSession::cancel() {

@@ -34,7 +34,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
-#include "tuner/pipeline.hpp"
 #include "tuner/tuner.hpp"
 
 namespace repro::tuner {
@@ -117,13 +116,6 @@ class AskTellSession {
   /// Evaluator measurement tallies; complete once finished() is true.
   [[nodiscard]] FailureCounters counters() const;
 
-  /// Pipelined-ask activity since this session started: score batches run,
-  /// batches overlapped with candidate generation, and asks that fell back
-  /// to the serial loop (nested on a pool worker or too few candidates).
-  /// Computed from the process-wide counters, so with concurrent sessions
-  /// in one process the numbers include their activity too.
-  [[nodiscard]] AskPipelineStats pipeline_stats() const;
-
   /// Unblock the search thread with SessionCancelled and refuse further
   /// asks. Idempotent; does not wait for the thread (the destructor joins).
   void cancel();
@@ -155,8 +147,6 @@ class AskTellSession {
   std::size_t tells_ GUARDED_BY(mutex_) = 0;
   TuneResult result_ GUARDED_BY(mutex_);
   FailureCounters counters_ GUARDED_BY(mutex_);
-  /// ask_pipeline_totals() snapshot at construction (atomics; no lock).
-  AskPipelineStats pipeline_baseline_;
   std::exception_ptr error_ GUARDED_BY(mutex_);
   /// One dedicated search thread per session is the ask/tell design: it
   /// spends its life parked in proxy_measure, and a ThreadPool worker

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
-
 namespace repro::tuner {
 
 FailureCounters& FailureCounters::operator+=(const FailureCounters& other) noexcept {
@@ -31,17 +29,7 @@ void FailureCounters::count(EvalStatus status) noexcept {
 Evaluator::Evaluator(const ParamSpace& space, Objective objective, std::size_t budget)
     : space_(space),
       objective_(std::move(objective)),
-      budget_(budget),
-      cache_capacity_(default_cache_capacity(budget)) {}
-
-void Evaluator::set_cache_capacity(std::size_t capacity) {
-  cache_capacity_ = capacity;
-  if (cache_capacity_ == 0) return;
-  while (cache_.size() > cache_capacity_ && !cache_order_.empty()) {
-    cache_.erase(cache_order_.front());
-    cache_order_.pop_front();
-  }
-}
+      budget_(budget) {}
 
 Evaluation Evaluator::measure_once(const Configuration& config) {
   ++used_;
@@ -89,27 +77,7 @@ Evaluation Evaluator::evaluate(const Configuration& config) {
   // Only deterministic outcomes are cacheable; a configuration lost to a
   // flaky measurement may be proposed (and charged) again later.
   if (result.status == EvalStatus::kOk || result.status == EvalStatus::kInvalid) {
-    if (cache_capacity_ > 0) {
-      while (cache_.size() >= cache_capacity_ && !cache_order_.empty()) {
-        cache_.erase(cache_order_.front());
-        cache_order_.pop_front();
-        ++cache_evictions_;
-      }
-    }
-    if (cache_.emplace(key, result).second) {
-      cache_order_.push_back(key);
-      ++cache_insertions_;
-    }
-    // Every evicted entry is a measurement the study may pay for again —
-    // above 10% churn the cache is undersized for this budget.
-    if (!churn_warned_ && cache_evictions_ * 10 > cache_insertions_ &&
-        cache_insertions_ >= 10) {
-      churn_warned_ = true;
-      log_warn("evaluator cache churn: {} evictions over {} insertions "
-               "(capacity {}, budget {}); evicted configurations are re-charged "
-               "budget if proposed again",
-               cache_evictions_, cache_insertions_, cache_capacity_, budget_);
-    }
+    cache_.emplace(key, result);
   }
   if (result.valid && (!has_best_ || result.value < best_value_)) {
     has_best_ = true;

@@ -18,10 +18,8 @@
 // proposed — and measured — again. Per-status tallies are exposed for the
 // study reports.
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <deque>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -106,32 +104,6 @@ class Evaluator {
 
   [[nodiscard]] const ParamSpace& space() const noexcept { return space_; }
 
-  /// Cap the measurement cache at `capacity` entries (FIFO eviction; 0 =
-  /// unbounded). Only fresh measurements insert — at most one per budget
-  /// unit — so the budget-derived default (see default_cache_capacity)
-  /// never evicts within one study; long-lived evaluators on huge spaces
-  /// can lower it to bound memory. An evicted configuration re-proposed
-  /// later is charged budget again, so heavy eviction churn silently burns
-  /// budget — the evaluator logs a warning once when evictions exceed 10%
-  /// of insertions.
-  void set_cache_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t cache_capacity() const noexcept { return cache_capacity_; }
-  [[nodiscard]] std::size_t cache_size() const noexcept { return cache_.size(); }
-
-  /// Eviction-churn accounting for the warning above.
-  [[nodiscard]] std::size_t cache_insertions() const noexcept { return cache_insertions_; }
-  [[nodiscard]] std::size_t cache_evictions() const noexcept { return cache_evictions_; }
-
-  /// Default cache capacity for a study with `budget` measurements: twice
-  /// the budget (headroom for explicit re-warm patterns), floored so tiny
-  /// smoke budgets keep a useful cache. Previously a fixed 2^20 regardless
-  /// of budget — sized independently of the history it was meant to hold.
-  [[nodiscard]] static std::size_t default_cache_capacity(std::size_t budget) noexcept {
-    constexpr std::size_t kFloor = 1024;
-    const std::size_t scaled = budget >= kFloor / 2 ? 2 * budget : kFloor;
-    return std::max(scaled, kFloor);
-  }
-
  private:
   /// One budget-charged call of the objective with status normalization.
   Evaluation measure_once(const Configuration& config);
@@ -142,12 +114,9 @@ class Evaluator {
   std::size_t used_ = 0;
   RetryPolicy retry_;
   FailureCounters counters_;
+  /// Deterministic outcomes by encoded configuration. Only a charged
+  /// measurement inserts, so the cache never outgrows the budget.
   std::unordered_map<std::uint64_t, Evaluation> cache_;
-  std::deque<std::uint64_t> cache_order_;  ///< insertion order for eviction
-  std::size_t cache_capacity_;  ///< budget-derived in the constructor
-  std::size_t cache_insertions_ = 0;
-  std::size_t cache_evictions_ = 0;
-  bool churn_warned_ = false;
   Configuration best_config_;
   double best_value_ = 0.0;
   bool has_best_ = false;

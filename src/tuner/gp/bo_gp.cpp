@@ -8,7 +8,6 @@
 
 #include "common/thread_pool.hpp"
 #include "stats/descriptive.hpp"
-#include "tuner/pipeline.hpp"
 
 namespace repro::tuner {
 
@@ -85,7 +84,6 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
     for (std::size_t i = 0; i < init; ++i) observe(draw(rng));
 
     GpRegressor gp;
-    gp.set_incremental(options_.incremental_gp);
     gp.set_sparse_options(options_.sparse);
     std::size_t last_hyperopt = 0;
     for (;;) {
@@ -166,9 +164,9 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
       // Generation consumes the RNG stream — same draws, same order as the
       // fused loop — and decides eligibility per candidate against the
       // immutable `proposed` set. Scoring (gp.predict is const and pure)
-      // writes indexed slots, so the pipelined overlap cannot change any
-      // value; the reduce walks ascending indices with a strict `>` — the
-      // same argmax the sequential loop computed, bit for bit.
+      // writes indexed slots from the pool; the reduce walks ascending
+      // indices with a strict `>` — the same argmax the sequential loop
+      // computed, bit for bit.
       std::vector<Configuration> candidates(total);
       std::vector<char> eligible(total, 0);
       std::vector<double> scores(total, -1.0);
@@ -199,13 +197,8 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
         scores[i] = expected_improvement(prediction.mean, prediction.variance,
                                          incumbent - margin);
       };
-      if (options_.pipelined_ask) {
-        pipelined_ask(ThreadPool::global(), total, generate, score, nullptr,
-                      {options_.pipeline_batch});
-      } else {
-        for (std::size_t i = 0; i < total; ++i) generate(i);
-        repro::parallel_for(0, total, score, 0, 16);
-      }
+      for (std::size_t i = 0; i < total; ++i) generate(i);
+      repro::parallel_for(0, total, score, 0, 16);
 
       double best_ei = -1.0;
       const Configuration* chosen = nullptr;

@@ -36,19 +36,10 @@ struct BoGpOptions {
   /// acquisition candidates are drawn from the executable sub-space, giving
   /// the SMBO method the constraint specification the paper withheld.
   bool constraint_aware = false;
-  /// Incremental (append-row) Cholesky refits in the GP surrogate. Both
-  /// settings produce bit-identical tuning traces; off = reference O(n^3)
-  /// refit path, kept for tests and benchmarks.
-  bool incremental_gp = true;
   /// Large-history sparse fallback, forwarded to the GP surrogate verbatim.
   /// Inert under the paper protocol: max_train_points caps the training set
   /// far below the default sparse threshold.
   SparseGpOptions sparse;
-  /// Overlap candidate generation with acquisition scoring (double-buffered
-  /// batches on the worker pool; see tuner/pipeline.hpp). Both settings
-  /// produce bit-identical tuning traces.
-  bool pipelined_ask = true;
-  std::size_t pipeline_batch = 64;  ///< candidates per score batch
   /// Cross-tenant warm start (tuner/warm_start.hpp): prior rows enter the
   /// GP training set as observations at zero budget cost, and random
   /// initialization shrinks to min_init. Null/empty = byte-identical cold

@@ -9,7 +9,6 @@
 
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
-#include "tuner/pipeline.hpp"
 
 namespace repro::tuner {
 
@@ -118,12 +117,11 @@ TuneResult BoTpe::minimize(const ParamSpace& space, Evaluator& evaluator,
 
       // Sample candidates from l(x), rank by l(x)/g(x). Sampling stays
       // sequential (it consumes the RNG stream); scoring is pure per
-      // candidate, so the pipeline overlaps it with later sampling into
-      // indexed slots, and the argmax reduces in ascending candidate order
-      // with a strict `>` — the same winner the fused sequential loop
-      // picked. The per-dimension log-ratio terms go through the shared
-      // sequential sum kernel (same left-to-right accumulation the fused
-      // loop used).
+      // candidate, so it runs on the pool into indexed slots, and the
+      // argmax reduces in ascending candidate order with a strict `>` —
+      // the same winner the fused sequential loop picked. The
+      // per-dimension log-ratio terms go through the shared sequential sum
+      // kernel (same left-to-right accumulation the fused loop used).
       const std::size_t count = options_.ei_candidates;
       std::vector<Configuration> batch(count);
       std::vector<char> eligible(count, 0);
@@ -148,13 +146,8 @@ TuneResult BoTpe::minimize(const ParamSpace& space, Evaluator& evaluator,
         }
         scores[c] = simd::seq::sum(terms.data(), terms.size());
       };
-      if (options_.pipelined_ask) {
-        pipelined_ask(repro::ThreadPool::global(), count, generate, score,
-                      nullptr, {options_.pipeline_batch});
-      } else {
-        for (std::size_t c = 0; c < count; ++c) generate(c);
-        repro::parallel_for(0, count, score, 0, 64);
-      }
+      for (std::size_t c = 0; c < count; ++c) generate(c);
+      repro::parallel_for(0, count, score, 0, 64);
       double best_ratio = -std::numeric_limits<double>::infinity();
       Configuration best_candidate;
       for (std::size_t c = 0; c < count; ++c) {

@@ -25,12 +25,6 @@ struct BoTpeOptions {
   /// Ablation knob: draw startup/fallback samples and accept candidates
   /// only from the executable sub-space (see BoGpOptions::constraint_aware).
   bool constraint_aware = false;
-  /// Overlap candidate sampling with log-ratio scoring (double-buffered
-  /// batches; see tuner/pipeline.hpp). Bit-identical either way. The
-  /// default 24-candidate rounds fit in one batch and run inline; the knob
-  /// matters for enlarged ei_candidates sweeps.
-  bool pipelined_ask = true;
-  std::size_t pipeline_batch = 64;  ///< candidates per score batch
   /// Cross-tenant warm start (tuner/warm_start.hpp): prior rows join the
   /// good/bad split at zero budget cost and displace that many startup
   /// draws. Null/empty = byte-identical cold path.

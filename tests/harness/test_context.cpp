@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
 #include "harness/context.hpp"
 
@@ -185,68 +184,6 @@ TEST(Context, FaultAwareRepeatedMeasureDropsFaultedRepeats) {
   EXPECT_TRUE(std::isnan(
       context.measure_repeated_us(config, rng_c, 10, lossy, &lost)));
   EXPECT_EQ(lost.transient, 10u);
-}
-
-
-TEST(Context, MeanMemoizationIsBitIdenticalToRecomputation) {
-  // Two contexts over the same benchmark/arch/seed, one consulting the
-  // shared mean memo and one recomputing the per-pass sum every call: every
-  // mean and every noisy measurement stream must match bit for bit.
-  BenchmarkContext memoized(small_add(), simgpu::titan_v(), 0, 42);
-  BenchmarkContext recomputed(small_add(), simgpu::titan_v(), 0, 42);
-  recomputed.set_mean_memoization(false);
-  ASSERT_TRUE(memoized.mean_memoization());
-  ASSERT_FALSE(recomputed.mean_memoization());
-
-  repro::Rng sampler(17);
-  repro::Rng rng_a(18), rng_b(18);
-  for (int i = 0; i < 200; ++i) {
-    const tuner::Configuration config = memoized.space().sample(sampler);
-    const double mean_a = memoized.true_time_us(config);
-    const double mean_b = recomputed.true_time_us(config);
-    if (std::isnan(mean_b)) {
-      EXPECT_TRUE(std::isnan(mean_a));
-    } else {
-      ASSERT_EQ(std::memcmp(&mean_a, &mean_b, sizeof(double)), 0) << i;
-    }
-    const double noisy_a = memoized.measure_us(config, rng_a);
-    const double noisy_b = recomputed.measure_us(config, rng_b);
-    if (!std::isnan(noisy_b)) {
-      ASSERT_EQ(std::memcmp(&noisy_a, &noisy_b, sizeof(double)), 0) << i;
-    }
-  }
-  // The noise streams advanced identically and the memo actually engaged.
-  EXPECT_EQ(rng_a(), rng_b());
-  EXPECT_GT(memoized.mean_cache().hits(), 0u);
-  EXPECT_GT(memoized.mean_cache().size(), 0u);
-}
-
-TEST(Context, MeanMemoizationIdenticalUnderFaults) {
-  BenchmarkContext memoized(small_add(), simgpu::titan_v(), 0, 42);
-  BenchmarkContext recomputed(small_add(), simgpu::titan_v(), 0, 42);
-  recomputed.set_mean_memoization(false);
-
-  simgpu::FaultModel faults;
-  faults.enabled = true;
-  faults.transient_probability = 0.1;
-  faults.timeout_probability = 0.05;
-  faults.reset_probability = 0.02;
-
-  simgpu::FaultInjector injector_a(faults, 77);
-  simgpu::FaultInjector injector_b(faults, 77);
-  repro::Rng sampler(19);
-  repro::Rng rng_a(20), rng_b(20);
-  for (int i = 0; i < 100; ++i) {
-    const tuner::Configuration config = memoized.space().sample(sampler);
-    const tuner::Evaluation a = memoized.measure_eval(config, rng_a, injector_a);
-    const tuner::Evaluation b = recomputed.measure_eval(config, rng_b, injector_b);
-    ASSERT_EQ(a.status, b.status) << i;
-    ASSERT_EQ(a.valid, b.valid) << i;
-    if (!std::isnan(b.value)) {
-      ASSERT_EQ(std::memcmp(&a.value, &b.value, sizeof(double)), 0) << i;
-    }
-  }
-  EXPECT_EQ(rng_a(), rng_b());
 }
 
 }  // namespace

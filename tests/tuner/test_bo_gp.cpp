@@ -118,66 +118,6 @@ TEST(BoGp, ConstraintAwareModeNeverProposesInvalid) {
   EXPECT_TRUE(all_executable);
 }
 
-
-TEST(BoGp, IncrementalGpProducesIdenticalTuneResult) {
-  // The incremental-Cholesky surrogate is a pure wall-clock optimization:
-  // with the same seed, the full tuning trace — every proposal, every
-  // measurement — must be identical with it on or off.
-  const ParamSpace space = paper_search_space();
-  BoGpOptions fast;
-  fast.incremental_gp = true;
-  BoGpOptions slow;
-  slow.incremental_gp = false;
-
-  for (std::uint64_t seed : {3u, 11u}) {
-    std::size_t calls_fast = 0;
-    Evaluator eval_fast(space, testing::bowl_objective(&calls_fast), 45);
-    repro::Rng rng_fast(seed);
-    const TuneResult a = BoGp(fast).minimize(space, eval_fast, rng_fast);
-
-    std::size_t calls_slow = 0;
-    Evaluator eval_slow(space, testing::bowl_objective(&calls_slow), 45);
-    repro::Rng rng_slow(seed);
-    const TuneResult b = BoGp(slow).minimize(space, eval_slow, rng_slow);
-
-    EXPECT_EQ(calls_fast, calls_slow) << "seed " << seed;
-    EXPECT_EQ(a.best_config, b.best_config) << "seed " << seed;
-    EXPECT_EQ(a.best_value, b.best_value) << "seed " << seed;
-    EXPECT_EQ(a.evaluations_used, b.evaluations_used) << "seed " << seed;
-    // The RNG streams advanced identically (same number of draws).
-    EXPECT_EQ(rng_fast(), rng_slow()) << "seed " << seed;
-  }
-}
-
-TEST(BoGp, PipelinedAskProducesIdenticalTuneResult) {
-  // The double-buffered ask pipeline only reorders *when* scoring work runs
-  // relative to candidate generation — generation stays sequential on the
-  // proposing thread (RNG stream untouched) and scoring is pure per index,
-  // so the full trace must match the serial path bit for bit.
-  const ParamSpace space = paper_search_space();
-  BoGpOptions piped;
-  piped.pipelined_ask = true;
-  BoGpOptions serial;
-  serial.pipelined_ask = false;
-
-  for (std::uint64_t seed : {3u, 11u}) {
-    std::size_t calls_piped = 0;
-    Evaluator eval_piped(space, testing::bowl_objective(&calls_piped), 45);
-    repro::Rng rng_piped(seed);
-    const TuneResult a = BoGp(piped).minimize(space, eval_piped, rng_piped);
-
-    std::size_t calls_serial = 0;
-    Evaluator eval_serial(space, testing::bowl_objective(&calls_serial), 45);
-    repro::Rng rng_serial(seed);
-    const TuneResult b = BoGp(serial).minimize(space, eval_serial, rng_serial);
-
-    EXPECT_EQ(calls_piped, calls_serial) << "seed " << seed;
-    EXPECT_EQ(a.best_config, b.best_config) << "seed " << seed;
-    EXPECT_EQ(a.best_value, b.best_value) << "seed " << seed;
-    EXPECT_EQ(rng_piped(), rng_serial()) << "seed " << seed;
-  }
-}
-
 TEST(BoGp, SparseSurrogateModeStillTunesDeterministically) {
   // Force the sparse fallback to engage mid-run (threshold far below the
   // budget) and check the tuner stays deterministic and functional. The

@@ -230,101 +230,5 @@ TEST(EvalStatusNames, AllDistinct) {
   EXPECT_STREQ(to_string(EvalStatus::kCrashed), "crashed");
 }
 
-
-TEST(Evaluator, CacheCapacityEvictsFifo) {
-  const ParamSpace space = tiny_space();
-  int calls = 0;
-  Evaluator evaluator(space, [&](const Configuration&) {
-    ++calls;
-    return Evaluation{1.0, true};
-  }, 100);
-  evaluator.set_cache_capacity(3);
-
-  (void)evaluator.evaluate({0, 0});
-  (void)evaluator.evaluate({1, 0});
-  (void)evaluator.evaluate({2, 0});
-  EXPECT_EQ(evaluator.cache_size(), 3u);
-  // Fourth insert evicts {0,0}, the oldest entry.
-  (void)evaluator.evaluate({3, 0});
-  EXPECT_EQ(evaluator.cache_size(), 3u);
-  EXPECT_EQ(calls, 4);
-
-  // Still-resident entries are served from cache...
-  (void)evaluator.evaluate({3, 0});
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(evaluator.used(), 4u);
-  // ...but the evicted one is measured (and charged) again.
-  (void)evaluator.evaluate({0, 0});
-  EXPECT_EQ(calls, 5);
-  EXPECT_EQ(evaluator.used(), 5u);
-}
-
-TEST(Evaluator, ShrinkingCapacityTrimsOldestEntries) {
-  const ParamSpace space = tiny_space();
-  int calls = 0;
-  Evaluator evaluator(space, [&](const Configuration&) {
-    ++calls;
-    return Evaluation{1.0, true};
-  }, 100);
-  for (int a = 0; a < 5; ++a) (void)evaluator.evaluate({a, 0});
-  EXPECT_EQ(evaluator.cache_size(), 5u);
-  evaluator.set_cache_capacity(2);
-  EXPECT_EQ(evaluator.cache_size(), 2u);
-  // The two newest survive.
-  (void)evaluator.evaluate({3, 0});
-  (void)evaluator.evaluate({4, 0});
-  EXPECT_EQ(calls, 5);
-  // The oldest were dropped.
-  (void)evaluator.evaluate({0, 0});
-  EXPECT_EQ(calls, 6);
-}
-
-TEST(Evaluator, DefaultCapacityNeverEvictsWithinAnyStudyBudget) {
-  const ParamSpace space = tiny_space();
-  Evaluator evaluator(space, [](const Configuration&) {
-    return Evaluation{1.0, true};
-  }, 100);
-  // The default is derived from the budget: fresh measurements are the only
-  // inserts (at most one per budget unit), so capacity >= budget can never
-  // evict within the study.
-  EXPECT_EQ(evaluator.cache_capacity(), Evaluator::default_cache_capacity(100));
-  EXPECT_GE(evaluator.cache_capacity(), evaluator.budget());
-  for (int a = 0; a < 10; ++a) (void)evaluator.evaluate({a, 1});
-  EXPECT_EQ(evaluator.cache_size(), 10u);
-  EXPECT_EQ(evaluator.cache_evictions(), 0u);
-}
-
-TEST(Evaluator, DerivedCapacityScalesWithBudgetAboveTheFloor) {
-  // Tiny budgets keep the floor; large budgets get 2x-budget headroom.
-  EXPECT_EQ(Evaluator::default_cache_capacity(0), 1024u);
-  EXPECT_EQ(Evaluator::default_cache_capacity(100), 1024u);
-  EXPECT_EQ(Evaluator::default_cache_capacity(512), 1024u);
-  EXPECT_EQ(Evaluator::default_cache_capacity(4096), 8192u);
-  for (std::size_t budget : {1u, 100u, 1000u, 100000u}) {
-    EXPECT_GE(Evaluator::default_cache_capacity(budget), budget);
-  }
-}
-
-TEST(Evaluator, WarnsOnceWhenEvictionChurnExceedsTenPercent) {
-  const ParamSpace space = tiny_space();
-  int calls = 0;
-  Evaluator evaluator(space, [&](const Configuration&) {
-    ++calls;
-    return Evaluation{1.0, true};
-  }, 100);
-  evaluator.set_cache_capacity(2);
-  // 12 distinct configurations through a 2-entry cache: 12 insertions,
-  // 10 evictions — far past the 10% churn threshold.
-  for (int a = 0; a < 6; ++a) {
-    (void)evaluator.evaluate({a, 1});
-    (void)evaluator.evaluate({a, 2});
-  }
-  EXPECT_EQ(evaluator.cache_insertions(), 12u);
-  EXPECT_EQ(evaluator.cache_evictions(), 10u);
-  // Re-proposing an evicted configuration costs budget again.
-  (void)evaluator.evaluate({0, 1});
-  EXPECT_EQ(calls, 13);
-}
-
 }  // namespace
 }  // namespace repro::tuner

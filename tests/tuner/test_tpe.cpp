@@ -121,32 +121,6 @@ TEST(BoTpe, DeterministicGivenSeed) {
   EXPECT_EQ(results[0].best_config, results[1].best_config);
 }
 
-TEST(BoTpe, PipelinedAskProducesIdenticalTuneResult) {
-  // With a batch smaller than the candidate pool the scorer overlaps with
-  // generation; generation order and the RNG stream are untouched, so the
-  // trace must match the serial path exactly.
-  const ParamSpace space = paper_search_space();
-  BoTpeOptions piped;
-  piped.pipelined_ask = true;
-  piped.pipeline_batch = 8;  // ei_candidates (24) spans several batches
-  BoTpeOptions serial;
-  serial.pipelined_ask = false;
-
-  for (std::uint64_t seed : {5u, 19u}) {
-    Evaluator eval_piped(space, testing::bowl_objective(), 50);
-    repro::Rng rng_piped(seed);
-    const TuneResult a = BoTpe(piped).minimize(space, eval_piped, rng_piped);
-
-    Evaluator eval_serial(space, testing::bowl_objective(), 50);
-    repro::Rng rng_serial(seed);
-    const TuneResult b = BoTpe(serial).minimize(space, eval_serial, rng_serial);
-
-    EXPECT_EQ(a.best_config, b.best_config) << "seed " << seed;
-    EXPECT_EQ(a.best_value, b.best_value) << "seed " << seed;
-    EXPECT_EQ(rng_piped(), rng_serial()) << "seed " << seed;
-  }
-}
-
 TEST(BoTpe, ConstraintAwareModeNeverProposesInvalid) {
   const ParamSpace space = paper_search_space();
   bool all_executable = true;
