@@ -1,8 +1,11 @@
 #include "common/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include "common/fmt.hpp"
 #include <stdexcept>
+#include <system_error>
+
+#include "common/fmt.hpp"
 
 namespace repro {
 
@@ -80,12 +83,32 @@ bool CliParser::get_flag(const std::string& name) const {
   return it != options_.end() && it->second.seen;
 }
 
+namespace {
+
+/// from_chars over the whole of `text`: a prefix that parses is not enough.
+template <typename T>
+T parse_whole(const std::string& flag, const std::string& text, const char* expected) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last) {
+    throw std::invalid_argument(fmt("--{}: expected {}, got '{}'", flag, expected, text));
+  }
+  return value;
+}
+
+}  // namespace
+
+long long parse_int_flag(const std::string& flag, const std::string& text) {
+  return parse_whole<long long>(flag, text, "a whole number");
+}
+
 long long CliParser::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+  return parse_int_flag(name, get(name));
 }
 
 double CliParser::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return parse_whole<double>(name, get(name), "a number");
 }
 
 std::string CliParser::usage() const {

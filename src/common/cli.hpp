@@ -1,7 +1,8 @@
 #pragma once
 // Tiny command-line flag parser shared by bench binaries and examples.
 // Supports `--name value`, `--name=value`, boolean `--flag`, and collects
-// positionals. Unknown flags are an error so typos fail loudly.
+// positionals. Unknown flags are an error so typos fail loudly, and so is a
+// numeric value that is not a number from its first character to its last.
 
 #include <cstdint>
 #include <map>
@@ -28,7 +29,11 @@ class CliParser {
   [[nodiscard]] std::string get(const std::string& name) const;
   [[nodiscard]] std::optional<std::string> get_optional(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
+  /// Value as a whole number; throws std::invalid_argument naming the flag
+  /// when it is anything else ("abc", "32abc", "1.5", out of range).
   [[nodiscard]] long long get_int(const std::string& name) const;
+  /// Value as a number ("nan" and "inf" included); throws
+  /// std::invalid_argument naming the flag on anything else.
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& positionals() const noexcept { return positionals_; }
 
@@ -47,5 +52,9 @@ class CliParser {
   std::map<std::string, Option> options_;
   std::vector<std::string> positionals_;
 };
+
+/// Parse `text`, the value of `--flag`, as a whole base-10 number; throws
+/// std::invalid_argument naming the flag when it is anything else.
+[[nodiscard]] long long parse_int_flag(const std::string& flag, const std::string& text);
 
 }  // namespace repro

@@ -2,12 +2,54 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
+#include <utility>
 
 namespace repro {
 
 namespace {
-/// Pool whose worker is executing on this thread (nullptr on non-workers).
+/// Pool whose work this thread is running: set for the pool's workers and,
+/// while it claims blocks, for a parallel_for caller (nullptr otherwise).
 thread_local const ThreadPool* t_worker_pool = nullptr;
+
+/// State one parallel_for call shares with its helpers. Runners claim block
+/// numbers from `next`; the caller returns once `finished` reaches `blocks`.
+/// A runner whose claim lands past the last block leaves without touching
+/// `body`, which may already be gone when a late helper starts.
+struct BlockLoop {
+  const ThreadPool* pool;
+  const std::function<void(std::size_t)>* body;
+  std::size_t begin;
+  std::size_t end;
+  std::size_t grain;
+  std::size_t blocks;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> finished{0};
+  Mutex mutex;
+  std::condition_variable all_finished;
+  std::exception_ptr first_error GUARDED_BY(mutex);
+
+  void run() {
+    const ThreadPool* outer = std::exchange(t_worker_pool, pool);
+    for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed); b < blocks;
+         b = next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t lo = begin + b * grain;
+      const std::size_t hi = lo + std::min(grain, end - lo);
+      try {
+        for (std::size_t i = lo; i < hi; ++i) (*body)(i);
+      } catch (...) {
+        MutexLock lock(mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == blocks) {
+        MutexLock lock(mutex);
+        all_finished.notify_all();
+      }
+    }
+    t_worker_pool = outer;
+  }
+};
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -68,72 +110,43 @@ ThreadPool& ThreadPool::global() {
 }
 
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body, std::size_t chunks,
-                  std::size_t grain) {
+                  const std::function<void(std::size_t)>& body, std::size_t grain) {
   if (begin >= end) return;
-  const std::size_t n = end - begin;
-  // Inline when parallelism cannot help: a single worker adds only queue
-  // latency, and a nested call from one of this pool's own workers would
-  // block a worker on chunks that are queued behind other blocked workers.
-  if (pool.size() <= 1 || pool.on_worker_thread()) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  if (chunks == 0) chunks = std::min(n, pool.size() * 4);
   grain = std::max<std::size_t>(1, grain);
-  chunks = std::max<std::size_t>(1, std::min({chunks, n, n / grain}));
-  if (chunks == 1) {
+  const std::size_t n = end - begin;
+  const std::size_t blocks = n / grain + (n % grain != 0 ? 1 : 0);
+  // A nested call gets no helpers: every runner of this pool is already
+  // busy, so queued helpers would only start after the loop is over.
+  const std::size_t helpers =
+      pool.on_worker_thread() ? 0 : std::min(pool.size() - 1, blocks - 1);
+  if (helpers == 0) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
 
-  // One shared completion latch instead of one future per chunk: the whole
-  // batch costs a single queue lock and a single broadcast.
-  struct Latch {
-    std::atomic<std::size_t> remaining;
-    std::mutex mutex;
-    std::condition_variable done;
-    std::exception_ptr first_error;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->remaining.store(chunks, std::memory_order_relaxed);
-
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks);
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  std::size_t cursor = begin;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t lo = cursor;
-    const std::size_t hi = cursor + len;
-    cursor = hi;
-    tasks.push_back([lo, hi, &body, latch] {
-      try {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      } catch (...) {
-        std::lock_guard lock(latch->mutex);
-        if (!latch->first_error) latch->first_error = std::current_exception();
-      }
-      if (latch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(latch->mutex);
-        latch->done.notify_all();
-      }
-    });
-  }
+  auto loop = std::make_shared<BlockLoop>();
+  loop->pool = &pool;
+  loop->body = &body;
+  loop->begin = begin;
+  loop->end = end;
+  loop->grain = grain;
+  loop->blocks = blocks;
+  std::vector<std::function<void()>> tasks(helpers, [loop] { loop->run(); });
   pool.submit_batch(std::move(tasks));
+  loop->run();
 
-  std::unique_lock lock(latch->mutex);
-  latch->done.wait(lock, [&] {
-    return latch->remaining.load(std::memory_order_acquire) == 0;
-  });
-  if (latch->first_error) std::rethrow_exception(latch->first_error);
+  // The last runner notifies while holding the mutex, so it cannot slip in
+  // between this check and the wait.
+  MutexLock lock(loop->mutex);
+  while (loop->finished.load(std::memory_order_acquire) != blocks) {
+    loop->all_finished.wait(lock.native());
+  }
+  if (loop->first_error) std::rethrow_exception(loop->first_error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body, std::size_t chunks,
-                  std::size_t grain) {
-  parallel_for(ThreadPool::global(), begin, end, body, chunks, grain);
+                  const std::function<void(std::size_t)>& body, std::size_t grain) {
+  parallel_for(ThreadPool::global(), begin, end, body, grain);
 }
 
 }  // namespace repro

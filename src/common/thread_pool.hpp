@@ -1,17 +1,24 @@
 #pragma once
-// Fixed-size worker pool with a shared task queue, plus a chunked
+// Fixed-size worker pool with a shared task queue, plus a self-scheduling
 // parallel_for built on top of it. Experiments in the harness are
 // embarrassingly parallel (independent seeded runs), so a simple FIFO pool
 // is sufficient; tasks must not throw across the pool boundary unless the
 // caller collects the exception through the returned future.
 //
-// parallel_for is safe to nest: when called from inside a worker of the
-// same pool it degrades to an inline sequential loop instead of submitting
-// chunks the (fully occupied) pool could never schedule — the classic
-// nested fork-join deadlock. Single-worker pools also run inline, skipping
-// queue traffic entirely. Chunks are enqueued in one batch under one lock
-// (not one future per chunk), so a parallel_for over tiny bodies pays one
-// dispatch per chunk, not per index, and one wakeup per batch.
+// parallel_for hands out `grain`-sized blocks of the index range from one
+// shared atomic cursor. The calling thread claims blocks alongside up to
+// pool.size() - 1 helper tasks, submitted in one batch, so a run of slow
+// indices spreads over every runner instead of landing in one pre-cut
+// chunk. Once the cursor is exhausted the caller waits only for blocks
+// still running; a helper that starts later finds nothing to claim and
+// never touches the body. Which thread runs an index is therefore not
+// fixed, and callers get deterministic output by writing indexed slots.
+//
+// parallel_for is safe to nest: a call from a thread that is already
+// running this pool's work (a worker, or a caller inside its own loop) gets
+// no helpers and runs inline, so it never queues work behind busy runners.
+// An exception ends the block that threw it; the other blocks still run,
+// and the first exception is rethrown on the caller once all have finished.
 
 #include <condition_variable>
 #include <cstddef>
@@ -37,7 +44,8 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// True when the calling thread is one of this pool's workers.
+  /// True when the calling thread is one of this pool's workers, or a
+  /// parallel_for caller on this pool while it runs blocks of its own loop.
   [[nodiscard]] bool on_worker_thread() const noexcept;
 
   /// Enqueue a task; the future reports its result or exception.
@@ -72,19 +80,15 @@ class ThreadPool {
 };
 
 /// Run body(i) for i in [begin, end) across the pool, blocking until done.
-/// Iterations are split into contiguous chunks, one batch-enqueued task
-/// each. `chunks` overrides the chunk count (0 = pool size x 4); `grain`
-/// caps the split so no chunk holds fewer than `grain` iterations — tiny
-/// loops then run in fewer (or zero) dispatches. Runs inline when nested
-/// inside a worker of the same pool or when the pool has a single worker.
-/// The first exception thrown by any chunk is rethrown on the caller.
+/// The caller and up to pool.size() - 1 helpers claim blocks of `grain`
+/// consecutive indices until none are left. Runs inline when the range is
+/// a single block, the pool has one worker, or the call is nested inside
+/// this pool's work. The first exception thrown by the body is rethrown.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t chunks = 0, std::size_t grain = 1);
+                  const std::function<void(std::size_t)>& body, std::size_t grain = 1);
 
 /// Convenience overload on the global pool.
 void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t chunks = 0, std::size_t grain = 1);
+                  const std::function<void(std::size_t)>& body, std::size_t grain = 1);
 
 }  // namespace repro

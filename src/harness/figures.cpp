@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 
 #include "common/cli.hpp"
 #include "common/fmt.hpp"
@@ -28,6 +29,16 @@ std::vector<std::string> split_list(const std::string& csv) {
   }
   if (!current.empty()) out.push_back(std::move(current));
   return out;
+}
+
+/// A count flag's value: a whole number no smaller than `min`.
+std::size_t parse_count(const std::string& flag, const std::string& text, long long min) {
+  const long long value = repro::parse_int_flag(flag, text);
+  if (value < min) {
+    throw std::invalid_argument(
+        fmt("--{}: expected a whole number >= {}, got '{}'", flag, min, text));
+  }
+  return static_cast<std::size_t>(value);
 }
 
 const char* figure_name(Figure figure) {
@@ -71,10 +82,10 @@ bool parse_study_cli(int argc, const char* const* argv, const std::string& progr
   config.algorithms = split_list(cli.get("algo"));
   config.sample_sizes.clear();
   for (const std::string& size : split_list(cli.get("sizes"))) {
-    config.sample_sizes.push_back(static_cast<std::size_t>(std::stoull(size)));
+    config.sample_sizes.push_back(parse_count("sizes", size, 1));
   }
   config.master_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.min_experiments = static_cast<std::size_t>(cli.get_int("min-experiments"));
+  config.min_experiments = parse_count("min-experiments", cli.get("min-experiments"), 0);
   config.checkpoint_path = cli.get("resume");
   out_dir = cli.get("out");
   g_save_raw = cli.get("save-raw");
@@ -87,10 +98,15 @@ int run_figure_main(int argc, const char* const* argv, Figure figure) {
   StudyConfig config;
   std::string out_dir;
   const std::string name = figure_name(figure);
-  if (!parse_study_cli(argc, argv, name,
-                       fmt("reproduce the paper's {} from the simulated study", name),
-                       config, out_dir)) {
-    return 0;
+  try {
+    if (!parse_study_cli(argc, argv, name,
+                         fmt("reproduce the paper's {} from the simulated study", name),
+                         config, out_dir)) {
+      return 0;
+    }
+  } catch (const std::invalid_argument& error) {
+    log_error("{}", error.what());
+    return 1;
   }
 
   StudyResults results;

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "common/fmt.hpp"
 #include "common/log.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
@@ -106,7 +107,7 @@ tuner::Configuration rf_pick(const BenchmarkContext& context, std::size_t sample
         pool[i].prediction =
             forest.predict(context.space().normalize(pool[i].config));
       },
-      0, 32);
+      32);
   if (pool.empty()) return rs_pick(context, sample_size, experiment_index);
   const std::size_t keep = std::min<std::size_t>(kPredictions, pool.size());
   std::partial_sort(pool.begin(), pool.begin() + keep, pool.end(),
@@ -209,6 +210,15 @@ double run_single_experiment(const BenchmarkContext& context,
 StudyResults run_study(const StudyConfig& config_in) {
   StudyConfig config = config_in;
   if (config.algorithms.empty()) config.algorithms = tuner::paper_algorithms();
+  // Experiment counts and the dataset are sized from these two, so reject
+  // values that would make them infinite or divide by zero.
+  if (!std::isfinite(config.scale_divisor) || config.scale_divisor <= 0.0) {
+    throw std::invalid_argument(
+        fmt("run_study: scale_divisor must be finite and positive, got {}", config.scale_divisor));
+  }
+  for (std::size_t size : config.sample_sizes) {
+    if (size == 0) throw std::invalid_argument("run_study: sample sizes must be at least 1");
+  }
 
   StudyResults results;
   results.config = config;

@@ -75,7 +75,9 @@ struct StudyResults {
 /// parallelized on the global thread pool and fully deterministic in
 /// `config.master_seed`. Experiments never abort the campaign: anomalies
 /// are recorded as NaN outcomes with per-cell failure tallies, and worker
-/// exceptions are caught at the cell boundary.
+/// exceptions are caught at the cell boundary. A `scale_divisor` that is not
+/// finite and positive, or a sample size of 0, throws std::invalid_argument
+/// before any work starts.
 [[nodiscard]] StudyResults run_study(const StudyConfig& config);
 
 /// Per-experiment knobs shared by run_study and the ablation benches.

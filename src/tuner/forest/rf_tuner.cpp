@@ -81,7 +81,7 @@ TuneResult RandomForestTuner::minimize(const ParamSpace& space, Evaluator& evalu
       [&](std::size_t i) {
         pool[i].prediction = forest.predict(space.normalize(pool[i].config));
       },
-      0, 32);
+      32);
   const std::size_t keep = std::min(predictions, pool.size());
   std::partial_sort(pool.begin(), pool.begin() + keep, pool.end(),
                     [](const Scored& a, const Scored& b) {

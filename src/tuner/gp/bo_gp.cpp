@@ -198,7 +198,7 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
                                          incumbent - margin);
       };
       for (std::size_t i = 0; i < total; ++i) generate(i);
-      repro::parallel_for(0, total, score, 0, 16);
+      repro::parallel_for(0, total, score, 16);
 
       double best_ei = -1.0;
       const Configuration* chosen = nullptr;

@@ -147,7 +147,7 @@ TuneResult BoTpe::minimize(const ParamSpace& space, Evaluator& evaluator,
         scores[c] = simd::seq::sum(terms.data(), terms.size());
       };
       for (std::size_t c = 0; c < count; ++c) generate(c);
-      repro::parallel_for(0, count, score, 0, 64);
+      repro::parallel_for(0, count, score, 64);
       double best_ratio = -std::numeric_limits<double>::infinity();
       Configuration best_candidate;
       for (std::size_t c = 0; c < count; ++c) {

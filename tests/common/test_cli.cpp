@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/cli.hpp"
 
@@ -95,6 +98,45 @@ TEST(Cli, UnregisteredGetThrows) {
   const char* argv[] = {"prog"};
   ASSERT_TRUE(cli.parse(1, argv));
   EXPECT_THROW((void)cli.get("never"), std::out_of_range);
+}
+
+/// Parses `--flag value` with make_parser() and returns the parser.
+CliParser parsed_with(const char* flag, const char* value) {
+  auto cli = make_parser();
+  const char* argv[] = {"prog", flag, value};
+  EXPECT_TRUE(cli.parse(3, argv));
+  return cli;
+}
+
+TEST(Cli, GetIntAcceptsWholeNumbersOnly) {
+  EXPECT_EQ(parsed_with("--count", "-4").get_int("count"), -4);
+  EXPECT_EQ(parsed_with("--count", "1592653589").get_int("count"), 1592653589);
+  for (const char* bad : {"abc", "32abc", "1.5", "", " 7", "0x10", "99999999999999999999"}) {
+    const auto cli = parsed_with("--count", bad);
+    try {
+      (void)cli.get_int("count");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--count"), std::string::npos) << error.what();
+    }
+  }
+}
+
+TEST(Cli, GetDoubleRejectsTrailingCharacters) {
+  EXPECT_DOUBLE_EQ(parsed_with("--rate", "32").get_double("rate"), 32.0);
+  EXPECT_DOUBLE_EQ(parsed_with("--rate", "-0.25").get_double("rate"), -0.25);
+  EXPECT_DOUBLE_EQ(parsed_with("--rate", "1e3").get_double("rate"), 1000.0);
+  // Non-finite values parse; callers that need a finite value check it.
+  EXPECT_TRUE(std::isnan(parsed_with("--rate", "nan").get_double("rate")));
+  for (const char* bad : {"abc", "32abc", "", "1.5.2", " 2"}) {
+    const auto cli = parsed_with("--rate", bad);
+    try {
+      (void)cli.get_double("rate");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--rate"), std::string::npos) << error.what();
+    }
+  }
 }
 
 TEST(Cli, UsageListsOptions) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "harness/figures.hpp"
 
 namespace repro::harness {
@@ -70,6 +74,37 @@ TEST(FiguresCli, UnknownFlagReturnsFalse) {
   std::string out_dir;
   const char* argv[] = {"fig2", "--bogus"};
   EXPECT_FALSE(parse_study_cli(2, argv, "fig2", "test", config, out_dir));
+}
+
+TEST(FiguresCli, MalformedNumbersThrowNamingTheFlag) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--sizes", "abc"},          {"--sizes", "25,x"}, {"--sizes", "0"},
+      {"--sizes", "-5"},           {"--sizes", "25.5"}, {"--seed", "abc"},
+      {"--min-experiments", "x"},  {"--min-experiments", "-1"},
+      {"--scale", "32abc"}};
+  for (const auto& [flag, value] : cases) {
+    StudyConfig config;
+    std::string out_dir;
+    const char* argv[] = {"fig2", flag, value};
+    try {
+      (void)parse_study_cli(3, argv, "fig2", "test", config, out_dir);
+      ADD_FAILURE() << flag << " accepted '" << value << "'";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(flag), std::string::npos) << error.what();
+    }
+  }
+}
+
+TEST(FiguresCli, FigureMainExitsOneOnUnusableNumbers) {
+  // Parse errors and the study's own config checks both end the run with
+  // exit status 1 before any context is built.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--sizes", "abc"}, {"--seed", "abc"}, {"--scale", "32abc"},
+      {"--scale", "0"},   {"--scale", "-4"}, {"--scale", "nan"}};
+  for (const auto& [flag, value] : cases) {
+    const char* argv[] = {"fig2", flag, value};
+    EXPECT_EQ(run_figure_main(3, argv, Figure::kFig2), 1) << flag << " " << value;
+  }
 }
 
 }  // namespace

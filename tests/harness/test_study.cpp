@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -280,6 +282,27 @@ TEST(Study, ResumeRejectsMismatchedExperimentCount) {
   config.min_experiments = 5;
   EXPECT_THROW((void)run_study(config), std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(Study, RejectsUnusableScaleAndSampleSizeBeforeAnyWork) {
+  // Each of these used to reach the experiment-count arithmetic and die in
+  // an allocation of "infinitely" many experiments. The checkpoint path
+  // shows that nothing ran: the file is created only once the config holds.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "repro_study_ckpt_invalid.csv").string();
+  std::remove(path.c_str());
+  for (double scale : {0.0, -4.0, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+    StudyConfig config = tiny_config();
+    config.checkpoint_path = path;
+    config.scale_divisor = scale;
+    EXPECT_THROW((void)run_study(config), std::invalid_argument) << "scale=" << scale;
+  }
+  StudyConfig config = tiny_config();
+  config.checkpoint_path = path;
+  config.sample_sizes = {10, 0};
+  EXPECT_THROW((void)run_study(config), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // The pool's contract under concurrency: tasks submitted from any number of
 // threads all run exactly once; destruction drains the queue; parallel_for
 // is safe to call from several driver threads at once and from inside a
-// worker (inline fallback).
+// worker (inline fallback), and a helper that starts after its loop
+// returned touches nothing of that loop.
 
 #include <gtest/gtest.h>
 
@@ -98,6 +99,35 @@ TEST(RaceThreadPool, NestedParallelForRunsInline) {
     });
   });
   for (std::size_t o = 0; o < kOuter; ++o) EXPECT_EQ(counts[o].load(), kInner);
+}
+
+TEST(RaceThreadPool, SmallLoopsOutrunTheirHelpers) {
+  // Tiny loops from several drivers on a small pool: a caller often claims
+  // every block before its helpers start, so those helpers run after
+  // parallel_for returned and its body and slots are gone. They must claim
+  // nothing; a late write into a driver's freed slots is a race and a
+  // use-after-free.
+  ThreadPool pool(2);
+  constexpr std::size_t kDrivers = 4;
+  constexpr std::size_t kLoops = 200;
+  constexpr std::size_t kItems = 6;
+  std::atomic<std::size_t> mismatches{0};
+
+  std::vector<std::thread> drivers;
+  drivers.reserve(kDrivers);
+  for (std::size_t d = 0; d < kDrivers; ++d) {
+    drivers.emplace_back([&pool, &mismatches] {
+      for (std::size_t loop = 0; loop < kLoops; ++loop) {
+        std::vector<std::size_t> slots(kItems, 0);
+        repro::parallel_for(pool, 0, kItems, [&slots](std::size_t i) { slots[i] = i + 1; });
+        for (std::size_t i = 0; i < kItems; ++i) {
+          if (slots[i] != i + 1) mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& driver : drivers) driver.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(RaceThreadPool, ExceptionFromChunkPropagatesOnce) {
