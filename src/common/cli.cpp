@@ -99,8 +99,31 @@ T parse_whole(const std::string& flag, const std::string& text, const char* expe
 
 }  // namespace
 
+std::vector<std::string> split_list(const std::string& csv) {
+  std::vector<std::string> out;
+  std::string current;
+  for (char c : csv) {
+    if (c == ',') {
+      if (!current.empty()) out.push_back(std::move(current));
+      current.clear();
+    } else {
+      current += c;
+    }
+  }
+  if (!current.empty()) out.push_back(std::move(current));
+  return out;
+}
+
 long long parse_int_flag(const std::string& flag, const std::string& text) {
   return parse_whole<long long>(flag, text, "a whole number");
+}
+
+std::uint16_t parse_port_flag(const std::string& flag, const std::string& text) {
+  const long long value = parse_int_flag(flag, text);
+  if (value < 0 || value > 65535) {
+    throw std::invalid_argument(fmt("--{}: expected a port in 0..65535, got '{}'", flag, text));
+  }
+  return static_cast<std::uint16_t>(value);
 }
 
 long long CliParser::get_int(const std::string& name) const {

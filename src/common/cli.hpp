@@ -53,8 +53,15 @@ class CliParser {
   std::vector<std::string> positionals_;
 };
 
+/// Items of a comma-separated list value, empty items skipped.
+[[nodiscard]] std::vector<std::string> split_list(const std::string& csv);
+
 /// Parse `text`, the value of `--flag`, as a whole base-10 number; throws
 /// std::invalid_argument naming the flag when it is anything else.
 [[nodiscard]] long long parse_int_flag(const std::string& flag, const std::string& text);
+
+/// Parse `text`, the value of `--flag`, as a TCP port (0..65535); throws
+/// std::invalid_argument naming the flag when it is anything else.
+[[nodiscard]] std::uint16_t parse_port_flag(const std::string& flag, const std::string& text);
 
 }  // namespace repro

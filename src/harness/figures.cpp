@@ -16,21 +16,6 @@ namespace {
 std::string g_save_raw;
 std::string g_from_raw;
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::string current;
-  for (char c : csv) {
-    if (c == ',') {
-      if (!current.empty()) out.push_back(std::move(current));
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  if (!current.empty()) out.push_back(std::move(current));
-  return out;
-}
-
 /// A count flag's value: a whole number no smaller than `min`.
 std::size_t parse_count(const std::string& flag, const std::string& text, long long min) {
   const long long value = repro::parse_int_flag(flag, text);

@@ -41,8 +41,7 @@ void Client::connect() {
 
 void Client::connect_one(const std::string& host, std::uint16_t port) {
   try {
-    socket_ = host == "127.0.0.1" ? Socket::connect_loopback(port)
-                                  : Socket::connect_tcp(host, port);
+    socket_ = dial(host, port);
   } catch (const std::exception& error) {
     throw ClientError(ClientError::Kind::kConnect,
                       "connect to " + host + ":" +
@@ -59,14 +58,9 @@ void Client::connect_one(const std::string& host, std::uint16_t port) {
   if (connect_count_ > 1) ++reconnects_;
   reader_.emplace(stream());
   connected_ = true;
-  Json hello = Json::object();
-  hello.set("op", "hello");
-  hello.set("version", static_cast<std::uint64_t>(kProtocolVersion));
-  hello.set("client", config_.name);
-  // Quota identity: the server stamps this into every open on the
+  // Quota identity: the server stamps the tenant into every open on the
   // connection (a per-request field could not be trusted).
-  if (!config_.tenant.empty()) hello.set("tenant", config_.tenant);
-  (void)call(hello);
+  (void)call(hello_frame(config_.name, config_.tenant));
 }
 
 void Client::disconnect() {
@@ -139,7 +133,9 @@ void Client::backoff_sleep(std::size_t attempt, std::uint64_t floor_ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
 }
 
-Json Client::call_resilient(const Json& request, bool idempotent) {
+Json Client::call_resilient(const Json& request) {
+  const std::optional<Op> op = op_from(require_string(request, "op"));
+  const bool idempotent = op && replay_safe(op_info(*op), request);
   std::size_t attempt = 0;
   while (true) {
     try {
@@ -168,16 +164,13 @@ std::string Client::open(const OpenParams& params, const std::string& token) {
   // Without a token a replayed open could create a twin session, so only
   // tokened opens retry transport failures (RETRY_LATER retries either way
   // inside call_resilient).
-  const std::string id =
-      require_string(call_resilient(request, /*idempotent=*/!token.empty()),
-                     "session");
+  const std::string id = require_string(call_resilient(request), "session");
   next_seq_.emplace(id, 1);
   return id;
 }
 
 std::optional<tuner::Configuration> Client::ask(const std::string& session) {
-  Json request = Json::object();
-  request.set("op", "ask");
+  Json request = op_frame(Op::kAsk);
   request.set("session", session);
   // resume:true makes a replayed ask (after a lost response) re-fetch the
   // outstanding proposal instead of failing with ask_pending.
@@ -186,7 +179,7 @@ std::optional<tuner::Configuration> Client::ask(const std::string& session) {
     request.set("deadline_ms", config_.heartbeat_ms);
   while (true) {
     try {
-      const Json response = call_resilient(request, /*idempotent=*/true);
+      const Json response = call_resilient(request);
       if (require_bool(response, "done")) return std::nullopt;
       return decode_config(require(response, "config"));
     } catch (const ProtocolError& error) {
@@ -200,27 +193,24 @@ std::optional<tuner::Configuration> Client::ask(const std::string& session) {
 
 std::size_t Client::tell(const std::string& session,
                          const tuner::Evaluation& evaluation) {
-  Json request = Json::object();
-  request.set("op", "tell");
+  Json request = op_frame(Op::kTell);
   request.set("session", session);
   encode_evaluation_into(request, evaluation);
   const auto seq_it = next_seq_.find(session);
   if (seq_it != next_seq_.end()) request.set("seq", seq_it->second);
-  const Json response =
-      call_resilient(request, /*idempotent=*/seq_it != next_seq_.end());
+  const Json response = call_resilient(request);
   if (seq_it != next_seq_.end()) ++seq_it->second;
   return static_cast<std::size_t>(require_uint(response, "remaining"));
 }
 
 Client::RemoteResult Client::result(const std::string& session) {
-  Json request = Json::object();
-  request.set("op", "result");
+  Json request = op_frame(Op::kResult);
   request.set("session", session);
   if (config_.heartbeat_ms > 0)
     request.set("deadline_ms", config_.heartbeat_ms);
   while (true) {
     try {
-      const Json response = call_resilient(request, /*idempotent=*/true);
+      const Json response = call_resilient(request);
       RemoteResult out;
       decode_tune_result(require(response, "result"), &out.result, &out.counters);
       return out;
@@ -232,11 +222,10 @@ Client::RemoteResult Client::result(const std::string& session) {
 }
 
 void Client::close_session(const std::string& session) {
-  Json request = Json::object();
-  request.set("op", "close");
+  Json request = op_frame(Op::kClose);
   request.set("session", session);
   try {
-    (void)call_resilient(request, /*idempotent=*/true);
+    (void)call_resilient(request);
   } catch (const ProtocolError& error) {
     // A replayed close whose first delivery succeeded answers
     // unknown_session; with retries enabled that is a success, not an
@@ -248,34 +237,27 @@ void Client::close_session(const std::string& session) {
 }
 
 Json Client::status() {
-  Json request = Json::object();
-  request.set("op", "status");
-  return call_resilient(request, /*idempotent=*/true);
+  return call_resilient(op_frame(Op::kStatus));
 }
 
 void Client::ping() {
-  Json request = Json::object();
-  request.set("op", "ping");
-  (void)call_resilient(request, /*idempotent=*/true);
+  (void)call_resilient(op_frame(Op::kPing));
 }
 
 Json Client::store_stats() {
-  Json request = Json::object();
-  request.set("op", "store_stats");
-  return call_resilient(request, /*idempotent=*/true);
+  return call_resilient(op_frame(Op::kStoreStats));
 }
 
 Client::ExportPage Client::store_export_page(const std::string& benchmark,
                                              const std::string& arch,
                                              std::size_t limit,
                                              const std::string& cursor) {
-  Json request = Json::object();
-  request.set("op", "store_export");
+  Json request = op_frame(Op::kStoreExport);
   if (!benchmark.empty()) request.set("benchmark", benchmark);
   if (!arch.empty()) request.set("arch", arch);
   if (limit > 0) request.set("limit", static_cast<std::uint64_t>(limit));
   if (!cursor.empty()) request.set("cursor", cursor);
-  const Json response = call_resilient(request, /*idempotent=*/true);
+  const Json response = call_resilient(request);
   ExportPage page;
   page.tenants = decode_tenants(require(response, "tenants"));
   if (const Json* flag = response.find("truncated");
@@ -315,12 +297,9 @@ std::vector<store::TenantSnapshot> Client::store_export(const std::string& bench
 }
 
 std::size_t Client::store_import(const std::vector<store::TenantSnapshot>& tenants) {
-  Json request = Json::object();
-  request.set("op", "store_import");
+  Json request = op_frame(Op::kStoreImport);
   request.set("tenants", encode_tenants(tenants));
-  // Imports are dedup'd server-side (first value wins), so a replay after a
-  // lost response cannot double-store — idempotent by construction.
-  const Json response = call_resilient(request, /*idempotent=*/true);
+  const Json response = call_resilient(request);
   return static_cast<std::size_t>(require_uint(response, "imported"));
 }
 
@@ -348,6 +327,50 @@ Client::RemoteResult Client::remote_minimize(const OpenParams& params,
     } catch (...) {
     }
     throw;
+  }
+}
+
+RpcLink::RpcLink(const std::string& host, std::uint16_t port,
+                 std::chrono::milliseconds write_timeout)
+    : socket_(dial(host, port)), reader_(socket_) {
+  // Short read tick so call() can poll its deadline.
+  socket_.set_read_timeout(std::chrono::milliseconds(50));
+  socket_.set_write_timeout(write_timeout);
+}
+
+std::optional<Json> RpcLink::hello(const std::string& client, Clock::time_point deadline) {
+  std::optional<Json> reply = call(hello_frame(client), deadline);
+  if (!reply || !is_ok(*reply)) return std::nullopt;
+  return reply;
+}
+
+std::optional<Json> RpcLink::call(const Json& request, Clock::time_point deadline) {
+  if (!write_frame(socket_, request)) return std::nullopt;
+  std::string line;
+  while (true) {
+    const FrameStatus status = reader_.next(&line);
+    if (status == FrameStatus::kOk) break;
+    // RPC deadline bookkeeping; never feeds tuning results.
+    if (status == FrameStatus::kTimeout && Clock::now() < deadline) continue;
+    return std::nullopt;  // deadline, closed, torn, oversized or error
+  }
+  try {
+    return Json::parse(line);
+  } catch (const JsonError&) {
+    return std::nullopt;
+  }
+}
+
+std::optional<Json> call_once(const std::string& host, std::uint16_t port,
+                              const std::string& client, std::chrono::milliseconds timeout,
+                              const Json& request) {
+  const RpcLink::Clock::time_point deadline = RpcLink::Clock::now() + timeout;
+  try {
+    RpcLink link(host, port, timeout);
+    if (!link.hello(client, deadline)) return std::nullopt;
+    return link.call(request, deadline);
+  } catch (const std::exception&) {
+    return std::nullopt;  // nothing accepted the dial
   }
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 // Client side of the tuning service: a synchronous RPC wrapper over the
 // JSON-lines protocol plus a remote_minimize() convenience that drives a
-// whole ask/tell loop against a caller-supplied objective.
+// whole ask/tell loop against a caller-supplied objective, and RpcLink, the
+// bounded link tunelb and the WAL shipper use instead (see below).
 //
 // A Client owns one connection and performs the versioned hello handshake in
 // connect(). Calls are strictly request/response, so one Client must not be
@@ -28,6 +29,7 @@
 //  - chaos.enabled injects deterministic, seeded network faults under the
 //    framing layer (tests only; see service/chaos_socket.hpp).
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -189,9 +191,10 @@ class Client {
   [[nodiscard]] ByteIo& stream() noexcept;
   /// Dial + handshake one endpoint; throws ClientError/ProtocolError.
   void connect_one(const std::string& host, std::uint16_t port);
-  /// call() + reconnect/backoff/RETRY_LATER handling. `idempotent` gates
-  /// transport-failure replays; RETRY_LATER is honored either way.
-  Json call_resilient(const Json& request, bool idempotent);
+  /// call() + reconnect/backoff/RETRY_LATER handling. Transport failures
+  /// replay only when the op table's replay rule allows it; RETRY_LATER is
+  /// honored either way.
+  Json call_resilient(const Json& request);
   void backoff_sleep(std::size_t attempt, std::uint64_t floor_ms);
 
   ClientConfig config_;
@@ -208,5 +211,41 @@ class Client {
   /// duplicates of anything at or below its applied watermark).
   std::unordered_map<std::string, std::uint64_t> next_seq_;
 };
+
+/// One bounded RPC link: dial, hello, then calls that each end by a deadline
+/// the caller gives. tunelb's probes, promote and reseed use it one shot at
+/// a time (call_once); the WAL shipper keeps one open. Deliberately not a
+/// Client: a wedged (SIGSTOPped, partitioned) peer that still accepts TCP
+/// must never park a probe or the primary's tell path past its budget, so
+/// the link reads in short ticks and gives up at the deadline.
+class RpcLink {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// Dial host:port; writes give up after `write_timeout`. Throws
+  /// std::runtime_error when nothing accepts.
+  RpcLink(const std::string& host, std::uint16_t port,
+          std::chrono::milliseconds write_timeout);
+  RpcLink(const RpcLink&) = delete;
+  RpcLink& operator=(const RpcLink&) = delete;
+
+  /// Handshake as `client`. The peer's reply when it accepted the hello;
+  /// nullopt on a refusal, a transport failure or the deadline.
+  [[nodiscard]] std::optional<Json> hello(const std::string& client,
+                                          Clock::time_point deadline);
+  /// One request, one reply, by `deadline`. nullopt on a transport failure,
+  /// an unparsable reply or the deadline.
+  [[nodiscard]] std::optional<Json> call(const Json& request, Clock::time_point deadline);
+
+ private:
+  Socket socket_;
+  FrameReader reader_;
+};
+
+/// Dial, hello as `client` and make one call, all within `timeout`.
+[[nodiscard]] std::optional<Json> call_once(const std::string& host, std::uint16_t port,
+                                            const std::string& client,
+                                            std::chrono::milliseconds timeout,
+                                            const Json& request);
 
 }  // namespace repro::service

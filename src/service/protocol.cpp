@@ -1,6 +1,8 @@
 #include "service/protocol.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 
@@ -43,6 +45,74 @@ std::optional<ErrorCode> error_code_from(std::string_view text) noexcept {
     if (text == to_string(code)) return code;
   }
   return std::nullopt;
+}
+
+// ---------------------------------------------------------------------------
+// Op table
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Every store op answers on any role: a standby's store is inspectable
+// (and seedable) without promoting it. promote answers on a primary too,
+// as an idempotent no-op ack.
+constexpr OpInfo kOps[] = {
+    {Op::kHello, "hello", OpRole::kAny, OpRoute::kLocal, OpReplay::kAlways},
+    {Op::kPing, "ping", OpRole::kAny, OpRoute::kLocal, OpReplay::kAlways},
+    {Op::kStatus, "status", OpRole::kAny, OpRoute::kLocal, OpReplay::kAlways},
+    {Op::kOpen, "open", OpRole::kPrimary, OpRoute::kPlace, OpReplay::kWithToken},
+    {Op::kAsk, "ask", OpRole::kPrimary, OpRoute::kBySession, OpReplay::kWithResume},
+    {Op::kTell, "tell", OpRole::kPrimary, OpRoute::kBySession, OpReplay::kWithSeq},
+    {Op::kResult, "result", OpRole::kPrimary, OpRoute::kBySession, OpReplay::kAlways},
+    // A replayed close answers unknown_session, which retrying clients
+    // already treat as close-succeeded.
+    {Op::kClose, "close", OpRole::kPrimary, OpRoute::kBySession, OpReplay::kAlways},
+    {Op::kStoreStats, "store_stats", OpRole::kAny, OpRoute::kFanOut, OpReplay::kAlways},
+    {Op::kStoreExport, "store_export", OpRole::kAny, OpRoute::kFanOut, OpReplay::kAlways},
+    // First-value-wins dedup makes an import broadcast replay-safe.
+    {Op::kStoreImport, "store_import", OpRole::kAny, OpRoute::kFanOut, OpReplay::kAlways},
+    {Op::kShipOpen, "ship_open", OpRole::kStandby, OpRoute::kRefuse, OpReplay::kAlways},
+    {Op::kShipTell, "ship_tell", OpRole::kStandby, OpRoute::kRefuse, OpReplay::kWithSeq},
+    {Op::kShipClose, "ship_close", OpRole::kStandby, OpRoute::kRefuse, OpReplay::kAlways},
+    {Op::kShipEvict, "ship_evict", OpRole::kStandby, OpRoute::kRefuse, OpReplay::kAlways},
+    {Op::kPromote, "promote", OpRole::kAny, OpRoute::kRefuse, OpReplay::kAlways},
+    {Op::kReseed, "reseed", OpRole::kPrimary, OpRoute::kRefuse, OpReplay::kAlways},
+};
+static_assert(std::size(kOps) == kOpCount, "one op-table row per Op");
+
+constexpr bool rows_follow_the_enum() {
+  for (std::size_t i = 0; i < std::size(kOps); ++i) {
+    if (static_cast<std::size_t>(kOps[i].op) != i) return false;
+  }
+  return true;
+}
+static_assert(rows_follow_the_enum(), "op-table rows are in Op order");
+
+}  // namespace
+
+const OpInfo& op_info(Op op) noexcept { return kOps[static_cast<std::size_t>(op)]; }
+
+std::optional<Op> op_from(std::string_view name) noexcept {
+  for (const OpInfo& row : kOps) {
+    if (row.name == name) return row.op;
+  }
+  return std::nullopt;
+}
+
+bool replay_safe(const OpInfo& info, const Json& request) {
+  switch (info.replay) {
+    case OpReplay::kAlways: return true;
+    case OpReplay::kWithToken: {
+      const Json* token = request.find("token");
+      return token != nullptr && token->is_string() && !token->as_string().empty();
+    }
+    case OpReplay::kWithResume: {
+      const Json* resume = request.find("resume");
+      return resume != nullptr && resume->is_bool() && resume->as_bool();
+    }
+    case OpReplay::kWithSeq: return optional_uint(request, "seq").value_or(0) > 0;
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -91,6 +161,47 @@ bool write_frame(ByteIo& stream, const Json& message) {
   std::string text = message.dump();
   text += '\n';
   return stream.write_all(text.data(), text.size());
+}
+
+Json op_frame(Op op) {
+  Json request = Json::object();
+  request.set("op", op_info(op).name);
+  return request;
+}
+
+Json hello_frame(const std::string& client, const std::string& tenant) {
+  Json hello = op_frame(Op::kHello);
+  hello.set("version", static_cast<std::uint64_t>(kProtocolVersion));
+  hello.set("client", client);
+  if (!tenant.empty()) hello.set("tenant", tenant);
+  return hello;
+}
+
+bool is_ok(const Json& reply) {
+  const Json* ok = reply.is_object() ? reply.find("ok") : nullptr;
+  return ok != nullptr && ok->is_bool() && ok->as_bool();
+}
+
+// ---------------------------------------------------------------------------
+// Endpoints
+// ---------------------------------------------------------------------------
+
+Socket dial(const std::string& host, std::uint16_t port) {
+  return host == "127.0.0.1" ? Socket::connect_loopback(port)
+                             : Socket::connect_tcp(host, port);
+}
+
+bool parse_endpoint(std::string_view text, std::string* host, std::uint16_t* port) {
+  const std::size_t colon = text.rfind(':');
+  const std::string_view digits =
+      colon == std::string_view::npos ? text : text.substr(colon + 1);
+  std::uint16_t value = 0;
+  const char* last = digits.data() + digits.size();
+  const auto [end, ec] = std::from_chars(digits.data(), last, value);
+  if (ec != std::errc{} || end != last || value == 0) return false;
+  *port = value;
+  if (colon != std::string_view::npos && colon > 0) *host = std::string(text.substr(0, colon));
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -166,8 +277,7 @@ tuner::ParamSpace OpenParams::make_space() const {
 }
 
 Json encode_open(const OpenParams& params) {
-  Json request = Json::object();
-  request.set("op", "open");
+  Json request = op_frame(Op::kOpen);
   request.set("algorithm", params.algorithm);
   request.set("budget", static_cast<std::uint64_t>(params.budget));
   request.set("seed", params.seed);

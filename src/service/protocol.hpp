@@ -8,54 +8,17 @@
 // buffer unbounded input; an oversized frame is a connection-fatal error
 // (the stream can no longer be trusted to resynchronize).
 //
-// Handshake. The first frame on a connection must be
-//   {"op":"hello","version":1,"client":"<name>"}
-// and the server answers {"ok":true,"version":1,"server":...,
-// "max_frame":...}. A version mismatch is answered with a typed error and
-// the connection is closed; every other op before hello is rejected.
-//
-// Requests after the handshake:
-//   {"op":"open","algorithm":"bogp","budget":100,"seed":42, ...}
-//   {"op":"ask","session":"s1"}
-//   {"op":"tell","session":"s1","value":123.5,"valid":true,"status":"ok"}
-//   {"op":"result","session":"s1"}
-//   {"op":"close","session":"s1"}
-//   {"op":"status"}
-// Responses are {"ok":true,...} or
+// Ops. The first frame on a connection must be a hello,
+//   {"op":"hello","version":1,"client":"<name>"},
+// and every later op is a row of the op table below: its wire name, the
+// daemon role that serves it, what tunelb does with it, and when it may be
+// replayed after a failover. Responses are {"ok":true,...} or
 // {"ok":false,"error":"<code>","message":"<human text>"}.
 //
-// Version-1 extension fields (all optional — an old client never sends
-// them, an old server never answers them, so the version number stays 1
-// and the hello response advertises them in "features"):
-//   - blocking ops (ask/result) accept "deadline_ms"; expiry answers the
-//     retryable error deadline_exceeded without touching session state.
-//   - tell accepts a monotonic per-session "seq"; a replayed duplicate is
-//     acknowledged ({"duplicate":true}) instead of double-applied.
-//   - ask accepts "resume":true to re-fetch an outstanding proposal after a
-//     reconnect instead of failing with ask_pending.
-//   - open accepts an idempotency "token"; re-opening with a known token
-//     returns the existing session instead of creating a second one.
-//   - admission-control pushback is the error retry_later, carrying
-//     "retry_after_ms".
-//   - cluster replication ops (advertised as the "cluster" feature): a
-//     primary shard streams WAL records to its hot standby as
-//     ship_open/ship_tell/ship_close/ship_evict frames (acked only after
-//     the standby has fsync'd and applied the record), and the router
-//     promotes a standby with {"op":"promote"}. A standby answers normal
-//     session ops — and a primary answers ship_*/promote — with the typed
-//     error wrong_role. status additionally reports "role".
-//   - multi-tenant quotas (advertised as the "quota" feature): hello accepts
-//     an optional "tenant" identity; the server stamps it into opens (it
-//     rides the WAL open record and ship_open) and enforces per-tenant
-//     session + in-flight-tell quotas with a deficit-round-robin admission
-//     queue. Pushback is retry_later with retry_after_ms scaled by queue
-//     depth; status reports a "quotas" block.
-//   - self-healing: {"op":"reseed","host":...,"port":...} retargets a
-//     primary's shipper at a replacement follower (full journal + store
-//     resync, hot flip gated on store digest equality); {"op":"promote"} is
-//     idempotent — a shard already holding the role acks with
-//     "already_primary":true instead of flipping again.
-// The full grammar and session lifecycle live in docs/SERVICE.md.
+// Version-1 extension fields are all optional, so the version stays 1 and
+// the hello response lists them in "features". docs/SERVICE.md holds the
+// full grammar: every op's fields, the features, the error codes and the
+// session lifecycle.
 
 #include <cstddef>
 #include <cstdint>
@@ -108,9 +71,9 @@ enum class ErrorCode {
   kDeadlineExceeded, ///< the request's deadline_ms expired before the
                      ///< blocking op completed; session state is untouched
   kDraining,         ///< server is shutting down, no new sessions
-  kWrongRole,        ///< session op sent to a standby, or a ship_*/promote op
-                     ///< sent to a primary; the peer should re-resolve which
-                     ///< endpoint currently holds the role it wants
+  kWrongRole,        ///< op sent to a daemon role (or a router) the op table
+                     ///< says does not serve it; the peer should re-resolve
+                     ///< which endpoint currently holds the role it wants
   kInternal,         ///< search thread died with an unexpected exception
 };
 
@@ -129,6 +92,57 @@ struct ProtocolError : std::runtime_error {
                 std::uint64_t retry_after = 0)
       : std::runtime_error(message), code(code_in), retry_after_ms(retry_after) {}
 };
+
+// ---------------------------------------------------------------------------
+// Op table: the wire surface, one row per op (protocol.cpp)
+// ---------------------------------------------------------------------------
+
+/// Every op of the protocol, in op-table row order.
+enum class Op : std::uint8_t {
+  kHello, kPing, kStatus,                        // handshake and health
+  kOpen, kAsk, kTell, kResult, kClose,           // sessions
+  kStoreStats, kStoreExport, kStoreImport,       // results store
+  kShipOpen, kShipTell, kShipClose, kShipEvict,  // replication records
+  kPromote, kReseed,                             // failover and re-seeding
+};
+inline constexpr std::size_t kOpCount = 17;
+static_assert(static_cast<std::size_t>(Op::kReseed) + 1 == kOpCount,
+              "kOpCount counts every Op");
+
+/// The daemon role that serves an op; the other role answers wrong_role.
+enum class OpRole : std::uint8_t { kAny, kPrimary, kStandby };
+
+/// What tunelb does with an op.
+enum class OpRoute : std::uint8_t {
+  kLocal,      ///< answers it itself
+  kPlace,      ///< places it on a shard by consistent hashing
+  kBySession,  ///< forwards it to the shard its "<shard>:<sid>" id names
+  kFanOut,     ///< sends it to every shard primary and merges the replies
+  kRefuse,     ///< answers wrong_role: shard-to-shard and prober-driven ops
+};
+
+/// When tunelb may replay an op on a shard's new endpoint after a failover.
+enum class OpReplay : std::uint8_t {
+  kAlways,      ///< idempotent as sent
+  kWithToken,   ///< only when it carries an idempotency "token"
+  kWithResume,  ///< only with "resume":true
+  kWithSeq,     ///< only with a nonzero "seq"
+};
+
+struct OpInfo {
+  Op op;
+  std::string_view name;  ///< the wire "op" value
+  OpRole role;
+  OpRoute route;
+  OpReplay replay;
+};
+
+[[nodiscard]] const OpInfo& op_info(Op op) noexcept;
+/// The op a wire name denotes; nullopt for a name outside the table.
+[[nodiscard]] std::optional<Op> op_from(std::string_view name) noexcept;
+/// True when `request`, an op of `info`, is safe to replay after a failover
+/// (throws ProtocolError{kBadRequest} on a malformed "seq").
+[[nodiscard]] bool replay_safe(const OpInfo& info, const Json& request);
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -162,6 +176,29 @@ class FrameReader {
 
 /// Serialize `message` and send it as one frame.
 [[nodiscard]] bool write_frame(ByteIo& stream, const Json& message);
+
+/// {"op":<the op's wire name>}, a request to fill in.
+[[nodiscard]] Json op_frame(Op op);
+/// The handshake request: {"op":"hello","version":1,"client":<client>}
+/// plus "tenant" when one is given.
+[[nodiscard]] Json hello_frame(const std::string& client, const std::string& tenant = {});
+/// True for an {"ok":true,...} reply.
+[[nodiscard]] bool is_ok(const Json& reply);
+
+// ---------------------------------------------------------------------------
+// Endpoints
+// ---------------------------------------------------------------------------
+
+/// Connect to host:port (loopback fast path for 127.0.0.1). Throws
+/// std::runtime_error when nothing accepts.
+[[nodiscard]] Socket dial(const std::string& host, std::uint16_t port);
+
+/// Parse "host:port" or a bare loopback port. The port must be plain
+/// decimal in 1..65535; a bare port leaves `*host` untouched. False on
+/// anything else, with both outputs untouched.
+[[nodiscard]] bool parse_endpoint(std::string_view text, std::string* host,
+                                  std::uint16_t* port);
+
 
 // ---------------------------------------------------------------------------
 // Field access helpers (throw ProtocolError{kBadRequest} on mismatch)

@@ -1,9 +1,10 @@
 #include "service/router.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <iterator>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -57,76 +58,13 @@ std::optional<std::pair<std::size_t, std::string>> split_session_id(
   if (colon == std::string::npos || colon == 0 || colon + 1 >= id.size())
     return std::nullopt;
   std::size_t shard = 0;
-  for (std::size_t i = 0; i < colon; ++i) {
-    const char c = id[i];
-    if (c < '0' || c > '9') return std::nullopt;
-    shard = shard * 10 + static_cast<std::size_t>(c - '0');
-    if (shard >= shard_count && shard > 9999) return std::nullopt;  // overflow guard
-  }
-  if (shard >= shard_count) return std::nullopt;
+  const auto [end, ec] = std::from_chars(id.data(), id.data() + colon, shard);
+  if (ec != std::errc{} || end != id.data() + colon || shard >= shard_count)
+    return std::nullopt;
   return std::make_pair(shard, id.substr(colon + 1));
 }
 
 namespace {
-
-/// Bounded out-of-band RPC: connect, hello, one request, one reply, all
-/// within `timeout`. Deliberately not service::Client — probes and promote
-/// must never park past their budget on a wedged (e.g. SIGSTOPped) shard.
-std::optional<Json> bounded_call(const std::string& host, std::uint16_t port,
-                                 std::chrono::milliseconds timeout,
-                                 const Json& request, const std::string& name) {
-  Socket socket;
-  try {
-    socket = host == "127.0.0.1" ? Socket::connect_loopback(port)
-                                 : Socket::connect_tcp(host, port);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  socket.set_read_timeout(std::chrono::milliseconds(50));
-  socket.set_write_timeout(timeout);
-  FrameReader reader(socket);
-  // Probe deadline bookkeeping; never feeds tuning results.
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  const auto exchange = [&](const Json& frame) -> std::optional<Json> {
-    if (!write_frame(socket, frame)) return std::nullopt;
-    std::string line;
-    while (true) {
-      const FrameStatus status = reader.next(&line);
-      if (status == FrameStatus::kOk) break;
-      if (status == FrameStatus::kTimeout) {
-        if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-        continue;
-      }
-      return std::nullopt;
-    }
-    try {
-      return Json::parse(line);
-    } catch (const JsonError&) {
-      return std::nullopt;
-    }
-  };
-  Json hello = Json::object();
-  hello.set("op", "hello");
-  hello.set("version", static_cast<std::uint64_t>(kProtocolVersion));
-  hello.set("client", name);
-  const std::optional<Json> shake = exchange(hello);
-  if (!shake) return std::nullopt;
-  const Json* ok = shake->find("ok");
-  if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) return std::nullopt;
-  return exchange(request);
-}
-
-[[nodiscard]] Json ping_frame() {
-  Json request = Json::object();
-  request.set("op", "ping");
-  return request;
-}
-
-[[nodiscard]] Json status_frame() {
-  Json request = Json::object();
-  request.set("op", "status");
-  return request;
-}
 
 /// Classify a shard's status reply. Draining, fenced, or
 /// shipping-disconnected primaries still serve, but should not take new
@@ -155,7 +93,28 @@ std::optional<Json> bounded_call(const std::string& host, std::uint16_t port,
 
 }  // namespace
 
-Router::Router(RouterConfig config) : config_(std::move(config)) {}
+/// One connection's downstream state; ops go to Router::dispatch.
+class Router::Connection final : public ConnectionHandler {
+ public:
+  explicit Connection(Router& router) : router_(router) {}
+  Json handle(Op op, const Json& request, const std::string& tenant) override {
+    return router_.dispatch(op, request, tenant, downstreams_);
+  }
+
+ private:
+  Router& router_;
+  Downstreams downstreams_;
+};
+
+Router::Router(RouterConfig config)
+    : config_(std::move(config)),
+      frames_({.name = config_.name,
+               .speaker = "router",
+               .port = config_.port,
+               .threads = config_.connection_threads,
+               .poll_interval = config_.poll_interval,
+               .write_timeout = config_.write_timeout,
+               .make_handler = [this] { return std::make_unique<Connection>(*this); }}) {}
 
 Router::~Router() { stop(); }
 
@@ -186,38 +145,19 @@ void Router::start() {
     }
   }
   std::sort(ring_.begin(), ring_.end());
-  listener_ = ListenSocket::listen_loopback(config_.port);
-  listener_.set_accept_timeout(config_.poll_interval);
-  port_ = listener_.port();
-  pool_ = std::make_unique<ThreadPool>(config_.connection_threads);
-  accept_thread_ = std::thread([this] { accept_loop(); });  // NOLINT(reprolint-raw-thread)
+  frames_.start();
   if (config_.probe_interval.count() > 0)
     probe_thread_ = std::thread([this] { probe_loop(); });  // NOLINT(reprolint-raw-thread)
-  log_info("tunelb: listening on 127.0.0.1:{} ({} shards, {} workers)", port_,
+  log_info("tunelb: listening on 127.0.0.1:{} ({} shards, {} workers)", frames_.port(),
            config_.shards.size(), config_.connection_threads);
 }
 
 void Router::stop() {
-  std::vector<std::shared_ptr<Socket>> sockets;
-  {
-    repro::MutexLock lock(mutex_);
-    if (!started_) return;
-    stopping_ = true;
-    sockets.reserve(connections_.size());
-    // Shutdown broadcast: every socket gets shut down, order immaterial.
-    for (auto& [id, socket] : connections_) sockets.push_back(socket);  // NOLINT(reprolint-unordered-iteration)
-  }
-  listener_.close();
-  for (const auto& socket : sockets) socket->shutdown_both();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  frames_.stop();
   if (probe_thread_.joinable()) probe_thread_.join();
-  pool_.reset();
 }
 
-bool Router::running() const noexcept {
-  repro::MutexLock lock(mutex_);
-  return started_ && !stopping_;
-}
+bool Router::running() const noexcept { return frames_.running(); }
 
 std::vector<ShardSnapshot> Router::shards() const {
   repro::MutexLock lock(mutex_);
@@ -249,20 +189,13 @@ void Router::probe_loop() {
   // Tick in small slices so stop() never waits a full probe interval.
   auto elapsed = std::chrono::milliseconds(0);
   const auto tick = std::chrono::milliseconds(50);
-  while (true) {
-    {
-      repro::MutexLock lock(mutex_);
-      if (stopping_) return;
-    }
+  while (!frames_.stopping()) {
     std::this_thread::sleep_for(tick);
     elapsed += tick;
     if (elapsed < config_.probe_interval) continue;
     elapsed = std::chrono::milliseconds(0);
     for (std::size_t shard = 0; shard < config_.shards.size(); ++shard) {
-      {
-        repro::MutexLock lock(mutex_);
-        if (stopping_) return;
-      }
+      if (frames_.stopping()) return;
       probe_shard(shard);
     }
   }
@@ -270,9 +203,9 @@ void Router::probe_loop() {
 
 void Router::probe_shard(std::size_t shard) {
   const Endpoint target = endpoint(shard);
-  const std::optional<Json> status = bounded_call(
-      target.host, target.port, config_.probe_timeout, status_frame(),
-      config_.name + "-probe");
+  const std::optional<Json> status =
+      call_once(target.host, target.port, config_.name + "-probe",
+                config_.probe_timeout, op_frame(Op::kStatus));
   bool cross_down_threshold = false;
   bool want_reseed = false;
   {
@@ -317,12 +250,10 @@ void Router::maybe_reseed(std::size_t shard, const Endpoint& primary,
     if (const Json* field = status.find("ship_target");
         field != nullptr && field->is_string())
       target_text = field->as_string();
-    const std::size_t colon = target_text.rfind(':');
-    if (colon == std::string::npos || colon == 0) return;
-    const int parsed = std::atoi(target_text.c_str() + colon + 1);
-    if (parsed <= 0 || parsed > 65535) return;
-    adopt_standby(shard, primary.generation, target_text.substr(0, colon),
-                  static_cast<std::uint16_t>(parsed));
+    std::string host;
+    std::uint16_t port = 0;
+    if (!parse_endpoint(target_text, &host, &port) || host.empty()) return;
+    adopt_standby(shard, primary.generation, host, port);
     return;
   }
   // Candidate hunt, deposed ex-primary first: it rejoins with most of the
@@ -342,25 +273,21 @@ void Router::maybe_reseed(std::size_t shard, const Endpoint& primary,
   }
   for (const SpareEndpoint& candidate : candidates) {
     const std::optional<Json> reply =
-        bounded_call(candidate.host, candidate.port, config_.probe_timeout,
-                     status_frame(), config_.name + "-probe");
-    if (!reply) continue;
-    const Json* ok = reply->find("ok");
-    if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) continue;
+        call_once(candidate.host, candidate.port, config_.name + "-probe",
+                  config_.probe_timeout, op_frame(Op::kStatus));
+    if (!reply || !is_ok(*reply)) continue;
     const Json* role = reply->find("role");
     if (role == nullptr || !role->is_string() || role->as_string() != "standby")
       continue;  // a deposed primary that has not demoted yet, or misconfig
-    Json reseed = Json::object();
-    reseed.set("op", "reseed");
+    Json reseed = op_frame(Op::kReseed);
     reseed.set("host", candidate.host);
     reseed.set("port", static_cast<std::uint64_t>(candidate.port));
-    const std::optional<Json> seeded = bounded_call(
-        primary.host, primary.port, config_.probe_timeout, reseed, config_.name);
+    const std::optional<Json> seeded =
+        call_once(primary.host, primary.port, config_.name, config_.probe_timeout, reseed);
     // Timeout mid-resync is fine: the next probe observes catching_up (wait)
     // or hot (adopt via ship_target above).
     if (!seeded) return;
-    const Json* seeded_ok = seeded->find("ok");
-    if (seeded_ok == nullptr || !seeded_ok->is_bool() || !seeded_ok->as_bool()) {
+    if (!is_ok(*seeded)) {
       // Typed refusal — this primary cannot resync (no state dir). Permanent
       // for this generation; stop asking every probe tick.
       const Json* message = seeded->find("message");
@@ -439,9 +366,9 @@ bool Router::fail_over(std::size_t shard, std::uint64_t observed_generation) {
     return state.health != ShardHealth::kDown;
   // Re-probe before declaring death: the forwarding failure may have been
   // a single torn connection, not a dead process.
-  const std::optional<Json> alive = bounded_call(
-      state.endpoints.primary_host, state.endpoints.primary_port,
-      config_.probe_timeout, ping_frame(), config_.name + "-probe");
+  const std::optional<Json> alive =
+      call_once(state.endpoints.primary_host, state.endpoints.primary_port,
+                config_.name + "-probe", config_.probe_timeout, op_frame(Op::kPing));
   if (alive) {
     state.consecutive_probe_failures = 0;
     return true;  // transient; caller reconnects to the same endpoint
@@ -454,13 +381,10 @@ bool Router::fail_over(std::size_t shard, std::uint64_t observed_generation) {
     ++state.generation;  // invalidate cached downstream clients
     return false;
   }
-  Json promote = Json::object();
-  promote.set("op", "promote");
-  const std::optional<Json> promoted = bounded_call(
-      state.endpoints.standby_host, state.endpoints.standby_port,
-      config_.probe_timeout, promote, config_.name);
-  const Json* ok = promoted ? promoted->find("ok") : nullptr;
-  if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) {
+  const std::optional<Json> promoted =
+      call_once(state.endpoints.standby_host, state.endpoints.standby_port, config_.name,
+                config_.probe_timeout, op_frame(Op::kPromote));
+  if (!promoted || !is_ok(*promoted)) {
     log_error("tunelb: shard {} primary AND standby unreachable; shard down",
               shard);
     state.health = ShardHealth::kDown;
@@ -487,175 +411,44 @@ bool Router::fail_over(std::size_t shard, std::uint64_t observed_generation) {
   return true;
 }
 
-void Router::accept_loop() {
-  while (true) {
-    {
-      repro::MutexLock lock(mutex_);
-      if (stopping_) return;
-    }
-    Socket socket;
-    const Socket::Io io = listener_.accept(&socket);
-    if (io == Socket::Io::kTimeout) continue;
-    if (io == Socket::Io::kClosed) return;
-    if (io == Socket::Io::kError) continue;
-    auto shared = std::make_shared<Socket>(std::move(socket));
-    std::uint64_t id = 0;
-    {
-      repro::MutexLock lock(mutex_);
-      if (stopping_) continue;
-      id = next_connection_id_++;
-      connections_[id] = shared;
-    }
-    std::vector<std::function<void()>> task;
-    task.emplace_back([this, id] {
-      try {
-        handle_connection(id);
-      } catch (const std::exception& error) {
-        log_error("tunelb: connection {} handler failed: {}", id, error.what());
-      }
-      repro::MutexLock lock(mutex_);
-      connections_.erase(id);
-    });
-    pool_->submit_batch(std::move(task));
+Json Router::dispatch(Op op, const Json& request, const std::string& tenant,
+                      Downstreams& downstreams) {
+  // Tenant identity is connection-scoped: re-sent on every downstream hello
+  // so shards quota the real tenant, not the router. A changed identity
+  // drops cached downstream clients (they carry the old one).
+  if (tenant != downstreams.tenant) {
+    downstreams.tenant = tenant;
+    downstreams.slots.clear();
   }
-}
-
-void Router::handle_connection(std::uint64_t id) {
-  std::shared_ptr<Socket> socket;
-  {
-    repro::MutexLock lock(mutex_);
-    const auto it = connections_.find(id);
-    if (it == connections_.end()) return;
-    socket = it->second;
-  }
-  socket->set_read_timeout(config_.poll_interval);
-  if (config_.write_timeout.count() > 0)
-    socket->set_write_timeout(config_.write_timeout);
-  FrameReader reader(*socket);
-  Downstreams downstreams;
-  bool hello_done = false;
-  std::string line;
-  while (true) {
-    {
-      repro::MutexLock lock(mutex_);
-      if (stopping_) return;
-    }
-    const FrameStatus status = reader.next(&line);
-    if (status == FrameStatus::kTimeout) continue;
-    if (status == FrameStatus::kClosed || status == FrameStatus::kMidFrameEof ||
-        status == FrameStatus::kError)
-      return;
-    if (status == FrameStatus::kOversized) {
-      (void)write_frame(*socket,
-                        make_error(ErrorCode::kOversizedFrame,
-                                   "frame exceeds " +
-                                       std::to_string(kMaxFrameBytes) + " bytes"));
-      return;
-    }
-    Json request;
-    try {
-      request = Json::parse(line);
-    } catch (const JsonError& error) {
-      if (!write_frame(*socket, make_error(ErrorCode::kMalformedFrame, error.what())))
-        return;
-      continue;
-    }
-    bool fatal = false;
-    const Json response = dispatch(request, downstreams, &hello_done, &fatal);
-    if (!write_frame(*socket, response)) return;
-    if (fatal) return;
-  }
-}
-
-Json Router::dispatch(const Json& request, Downstreams& downstreams,
-                      bool* hello_done, bool* fatal) {
-  *fatal = false;
-  try {
-    const std::string op = require_string(request, "op");
-    if (op == "hello") {
-      const std::uint64_t version = require_uint(request, "version");
-      if (version != static_cast<std::uint64_t>(kProtocolVersion)) {
-        *fatal = true;
-        return make_error(ErrorCode::kVersionMismatch,
-                          "router speaks protocol version " +
-                              std::to_string(kProtocolVersion) + ", client sent " +
-                              std::to_string(version));
-      }
-      *hello_done = true;
-      // Tenant identity is connection-scoped: re-sent on every downstream
-      // hello so shards quota the real tenant, not the router. A changed
-      // identity drops cached downstream clients (they carry the old one).
-      std::string tenant;
-      if (const Json* field = request.find("tenant");
-          field != nullptr && field->is_string())
-        tenant = field->as_string();
-      if (tenant != downstreams.tenant) {
-        downstreams.tenant = tenant;
-        downstreams.slots.clear();
-      }
-      Json response = make_ok();
-      response.set("version", static_cast<std::uint64_t>(kProtocolVersion));
-      response.set("server", config_.name);
-      response.set("max_frame", static_cast<std::uint64_t>(kMaxFrameBytes));
-      Json features = Json::array();
-      for (const char* feature : {"deadline_ms", "seq", "resume", "token",
-                                  "retry_later", "cluster", "quota"})
-        features.push_back(feature);
-      response.set("features", std::move(features));
-      return response;
-    }
-    if (!*hello_done)
-      return make_error(ErrorCode::kHelloRequired,
-                        "first frame must be a hello handshake");
-    if (op == "ping") return make_ok();
-    if (op == "status") return aggregate_status();
-    if (op == "open") return route_open(request, downstreams);
-    if (op == "ship_open" || op == "ship_tell" || op == "ship_close" ||
-        op == "ship_evict" || op == "promote") {
-      return make_error(ErrorCode::kWrongRole,
-                        "a router accepts client session ops, not replication "
-                        "records; ship to a standby shard directly");
-    }
-    if (op == "reseed") {
-      return make_error(ErrorCode::kWrongRole,
-                        "re-seeding is driven by the router's own prober; to "
-                        "attach a follower manually, send reseed to the shard "
-                        "primary directly");
-    }
-    if (op == "store_stats" || op == "store_export" || op == "store_import") {
-      return route_store(op, request, downstreams);
-    }
-    if (op == "ask" || op == "tell" || op == "result" || op == "close") {
+  const OpInfo& info = op_info(op);
+  switch (info.route) {
+    case OpRoute::kLocal:
+      return op == Op::kStatus ? aggregate_status() : make_ok();
+    case OpRoute::kPlace:
+      return route_open(request, downstreams);
+    case OpRoute::kBySession: {
       const std::string namespaced = require_string(request, "session");
       const auto split = split_session_id(namespaced, config_.shards.size());
       if (!split)
         return make_error(ErrorCode::kUnknownSession,
                           "session id '" + namespaced +
                               "' is not a '<shard>:<sid>' id of this cluster");
-      // close is replay-safe through a failover: a re-delivered close
-      // answers unknown_session, which retrying clients already treat as
-      // close-succeeded.
-      bool idempotent = op == "result" || op == "close";
-      if (op == "ask") {
-        const Json* resume = request.find("resume");
-        idempotent = resume != nullptr && resume->is_bool() && resume->as_bool();
-      } else if (op == "tell") {
-        idempotent = optional_uint(request, "seq").value_or(0) > 0;
-      }
+      const bool idempotent = replay_safe(info, request);
       Json forwarded = request;
       forwarded.set("session", split->second);
       return forward(split->first, std::move(forwarded), idempotent, downstreams);
     }
-    return make_error(ErrorCode::kUnknownOp, "unknown op: " + op);
-  } catch (const ProtocolError& error) {
-    if (error.code == ErrorCode::kRetryLater)
-      return make_retry_later(error.what(), error.retry_after_ms);
-    return make_error(error.code, error.what());
-  } catch (const JsonError& error) {
-    return make_error(ErrorCode::kBadRequest, error.what());
-  } catch (const std::exception& error) {
-    return make_error(ErrorCode::kInternal, error.what());
+    case OpRoute::kFanOut:
+      return op == Op::kStoreExport ? route_store_export(request, downstreams)
+                                    : route_store(op, request, downstreams);
+    case OpRoute::kRefuse:
+      // Replication records and promote travel shard to shard; re-seeding
+      // is driven by the router's own prober.
+      return make_error(ErrorCode::kWrongRole,
+                        "a router serves client ops only; send " + std::string(info.name) +
+                            " to a shard daemon directly");
   }
+  return make_error(ErrorCode::kInternal, "op without a route");
 }
 
 Json Router::forward(std::size_t shard, Json request, bool idempotent,
@@ -724,9 +517,7 @@ Json Router::route_open(const Json& request, Downstreams& downstreams) {
     if (!shard) break;
     Json response = forward(*shard, request, /*idempotent=*/!token.empty(),
                             downstreams);
-    const Json* ok = response.find("ok");
-    const bool succeeded = ok != nullptr && ok->is_bool() && ok->as_bool();
-    if (succeeded) {
+    if (is_ok(response)) {
       const Json* sid = response.find("session");
       if (sid != nullptr && sid->is_string())
         response.set("session", std::to_string(*shard) + ":" + sid->as_string());
@@ -746,60 +537,41 @@ Json Router::route_open(const Json& request, Downstreams& downstreams) {
                           /*retry_after_ms=*/500);
 }
 
-Json Router::route_store(const std::string& op, const Json& request,
-                         Downstreams& downstreams) {
+Json Router::route_store(Op op, const Json& request, Downstreams& downstreams) {
   // A tenant's history lives on whichever shard served its sessions, so the
   // router fans store ops out to every primary: imports land on all shards
   // (first-value-wins dedup makes the broadcast idempotent and replay-safe),
   // stats sum across the cluster, and exports page through the shards
   // sequentially (re-importing the concatenated pages dedups back to the
-  // union).
-  if (op == "store_export") return route_store_export(request, downstreams);
-  std::uint64_t imported = 0, import_duplicates = 0, records = 0, tenants = 0;
-  bool any_enabled = false;
-  // Per-shard digest/dir stay in the "shards" breakdown; every additive
-  // counter is summed so a router-pointed client sees cluster totals.
+  // union). The per-shard digest and dir stay in the stats' "shards" rows.
+  static constexpr const char* kImportCounters[] = {"imported", "duplicates"};
   static constexpr const char* kStatCounters[] = {
-      "appends",     "duplicates",  "rejected",    "evictions",
-      "compactions", "io_errors",   "log_records", "log_bytes",
-      "loaded_records"};
-  std::uint64_t stat_totals[std::size(kStatCounters)] = {};
+      "records",     "tenants",   "appends",     "duplicates", "rejected",      "evictions",
+      "compactions", "io_errors", "log_records", "log_bytes",  "loaded_records"};
+  const bool import = op == Op::kStoreImport;
+  const std::span<const char* const> counters =
+      import ? std::span<const char* const>(kImportCounters) : kStatCounters;
+  std::vector<std::uint64_t> totals(counters.size(), 0);
+  bool any_enabled = false;
   Json per_shard = Json::array();
   for (std::size_t shard = 0; shard < config_.shards.size(); ++shard) {
     Json reply = forward(shard, request, /*idempotent=*/true, downstreams);
-    const Json* ok = reply.find("ok");
-    if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) return reply;
-    const auto add = [&reply](std::uint64_t& total, const char* key) {
-      const Json* field = reply.find(key);
-      if (field != nullptr && field->is_number()) total += field->as_uint64();
-    };
-    if (op == "store_import") {
-      add(imported, "imported");
-      add(import_duplicates, "duplicates");
-      continue;
+    if (!is_ok(reply)) return reply;
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      const Json* field = reply.find(counters[i]);
+      if (field != nullptr && field->is_number()) totals[i] += field->as_uint64();
     }
+    if (import) continue;
     const Json* enabled = reply.find("store_enabled");
     any_enabled = any_enabled || (enabled != nullptr && enabled->is_bool() &&
                                   enabled->as_bool());
-    add(records, "records");
-    add(tenants, "tenants");
-    for (std::size_t i = 0; i < std::size(kStatCounters); ++i)
-      add(stat_totals[i], kStatCounters[i]);
     reply.set("shard", static_cast<std::uint64_t>(shard));
     per_shard.push_back(std::move(reply));
   }
   Json response = make_ok();
-  if (op == "store_import") {
-    response.set("imported", imported);
-    response.set("duplicates", import_duplicates);
-  } else {
-    response.set("store_enabled", any_enabled);
-    response.set("records", records);
-    response.set("tenants", tenants);
-    for (std::size_t i = 0; i < std::size(kStatCounters); ++i)
-      response.set(kStatCounters[i], stat_totals[i]);
-    response.set("shards", std::move(per_shard));
-  }
+  if (!import) response.set("store_enabled", any_enabled);
+  for (std::size_t i = 0; i < counters.size(); ++i) response.set(counters[i], totals[i]);
+  if (!import) response.set("shards", std::move(per_shard));
   return response;
 }
 
@@ -814,14 +586,14 @@ Json Router::route_store_export(const Json& request, Downstreams& downstreams) {
   if (const Json* field = request.find("cursor")) {
     bool valid = field->is_string();
     if (valid) {
-      const std::string text = field->as_string();
+      const std::string& text = field->as_string();
       const std::size_t bar = text.find('|');
-      valid = bar != std::string::npos && bar > 0;
-      for (std::size_t i = 0; valid && i < bar; ++i) {
-        if (text[i] < '0' || text[i] > '9') valid = false;
-        start_shard = start_shard * 10 + static_cast<std::size_t>(text[i] - '0');
+      valid = bar != std::string::npos;
+      if (valid) {
+        const char* last = text.data() + bar;
+        const auto [end, ec] = std::from_chars(text.data(), last, start_shard);
+        valid = ec == std::errc{} && end == last && start_shard < config_.shards.size();
       }
-      if (valid && start_shard >= config_.shards.size()) valid = false;
       if (valid) sub_cursor = text.substr(bar + 1);
     }
     if (!valid) {
@@ -836,8 +608,7 @@ Json Router::route_store_export(const Json& request, Downstreams& downstreams) {
   bool more = false;
   std::string next_cursor;
   for (std::size_t shard = start_shard; shard < config_.shards.size(); ++shard) {
-    Json sub_request = Json::object();
-    sub_request.set("op", "store_export");
+    Json sub_request = op_frame(Op::kStoreExport);
     for (const char* key : {"benchmark", "arch"}) {
       if (const Json* field = request.find(key)) sub_request.set(key, *field);
     }
@@ -845,8 +616,7 @@ Json Router::route_store_export(const Json& request, Downstreams& downstreams) {
     if (!sub_cursor.empty()) sub_request.set("cursor", sub_cursor);
     sub_cursor.clear();
     Json reply = forward(shard, sub_request, /*idempotent=*/true, downstreams);
-    const Json* ok = reply.find("ok");
-    if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) return reply;
+    if (!is_ok(reply)) return reply;
     std::uint64_t got = 0;
     if (const Json* field = reply.find("records");
         field != nullptr && field->is_number()) {
@@ -932,12 +702,10 @@ Json Router::aggregate_status() {
       // Bounded out-of-band call, never the pooled downstream Client: a
       // wedged (SIGSTOPped, partitioned) shard that the prober has not yet
       // marked down must not park status aggregation past the probe budget.
-      const std::optional<Json> reply =
-          bounded_call(snapshot.host, snapshot.port, config_.probe_timeout,
-                       status_frame(), config_.name);
+      const std::optional<Json> reply = call_once(
+          snapshot.host, snapshot.port, config_.name, config_.probe_timeout, op_frame(Op::kStatus));
       const Json status = reply.value_or(Json::object());
-      const Json* ok = status.find("ok");
-      if (ok != nullptr && ok->is_bool() && ok->as_bool()) {
+      if (is_ok(status)) {
         const auto add = [&status](std::uint64_t& total, const char* key) {
           const Json* field = status.find(key);
           if (field != nullptr && field->is_number()) total += field->as_uint64();
@@ -1018,9 +786,9 @@ Json Router::aggregate_status() {
   {
     repro::MutexLock lock(mutex_);
     response.set("reroutes", static_cast<std::uint64_t>(reroutes_));
-    response.set("active_connections",
-                 static_cast<std::uint64_t>(connections_.size()));
   }
+  response.set("active_connections",
+               static_cast<std::uint64_t>(frames_.counters().active));
   return response;
 }
 

@@ -27,12 +27,14 @@
 // becomes the shard's endpoint (the old primary, if it ever comes back,
 // fences itself on the standby's wrong_role answers).
 //
-// Forwarding & retry. Each client connection owns its own downstream
+// Forwarding & retry. What the router does with each op — answer, place,
+// forward by session id, fan out, or refuse — is the op's route in the op
+// table (protocol.hpp). Each client connection owns its own downstream
 // clients (per shard, tagged with the shard's endpoint generation), so a
 // blocking ask parks only its own connection. A transport failure
 // triggers fail-over, then the request is retried on the shard's current
-// endpoint — but only when the request is idempotent (open with token,
-// tell with seq, ask with resume, result/status/ping). Non-idempotent
+// endpoint — but only when the op table's replay rule allows it (open
+// with token, tell with seq, ask with resume, result/close). Other
 // requests surface the transport error to the client, which owns the
 // retry decision. retry_later pushback from a shard is propagated
 // verbatim, hint included.
@@ -64,10 +66,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/socket.hpp"
 #include "common/thread_annotations.hpp"
-#include "common/thread_pool.hpp"
 #include "service/client.hpp"
+#include "service/frame_server.hpp"
 #include "service/protocol.hpp"
 
 namespace repro::service {
@@ -144,7 +145,7 @@ class Router {
   void start();
   void stop();
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept { return frames_.port(); }
   [[nodiscard]] bool running() const noexcept;
 
   [[nodiscard]] std::vector<ShardSnapshot> shards() const;
@@ -188,11 +189,12 @@ class Router {
     std::string tenant;
   };
 
-  void accept_loop();
+  class Connection;  // ConnectionHandler over dispatch()
+
   void probe_loop();
-  void handle_connection(std::uint64_t id);
-  [[nodiscard]] Json dispatch(const Json& request, Downstreams& downstreams,
-                              bool* hello_done, bool* fatal);
+  /// Route one op by its op-table row.
+  [[nodiscard]] Json dispatch(Op op, const Json& request, const std::string& tenant,
+                              Downstreams& downstreams);
   /// Forward `request` (session already rewritten) to `shard`, with
   /// failover + single retry when `idempotent`.
   [[nodiscard]] Json forward(std::size_t shard, Json request, bool idempotent,
@@ -200,8 +202,7 @@ class Router {
   [[nodiscard]] Json route_open(const Json& request, Downstreams& downstreams);
   /// Broadcast a results-store op to every shard primary and merge the
   /// replies (imports are dedup'd server-side, so the fan-out is replay-safe).
-  [[nodiscard]] Json route_store(const std::string& op, const Json& request,
-                                 Downstreams& downstreams);
+  [[nodiscard]] Json route_store(Op op, const Json& request, Downstreams& downstreams);
   /// Paged export across shards. The cursor is "<shard>|<daemon cursor>":
   /// shards are drained sequentially, each reply carries at most one
   /// daemon page, and the composite cursor resumes mid-shard.
@@ -247,13 +248,11 @@ class Router {
                      const std::string& host, std::uint16_t port);
 
   RouterConfig config_;
-  std::uint16_t port_ = 0;
-  ListenSocket listener_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// Dedicated accept + prober threads by design: pool workers handle
-  /// (blocking) client connections and must not starve accept or health.
-  std::thread accept_thread_;  // NOLINT(reprolint-raw-thread)
-  std::thread probe_thread_;   // NOLINT(reprolint-raw-thread)
+  /// Listener, accept thread, connection workers, framing and hello.
+  FrameServer frames_;
+  /// Dedicated prober thread by design: pool workers handle (blocking)
+  /// client connections and must not starve health checks.
+  std::thread probe_thread_;  // NOLINT(reprolint-raw-thread)
 
   mutable repro::Mutex mutex_;
   std::vector<ShardState> shard_states_ GUARDED_BY(mutex_);
@@ -261,13 +260,9 @@ class Router {
   /// spare is attached at most once; it then lives as that shard's
   /// standby and, after a later failover, its primary).
   std::vector<bool> spare_used_ GUARDED_BY(mutex_);
-  std::unordered_map<std::uint64_t, std::shared_ptr<Socket>> connections_
-      GUARDED_BY(mutex_);
-  std::uint64_t next_connection_id_ GUARDED_BY(mutex_) = 1;
   std::uint64_t anon_opens_ GUARDED_BY(mutex_) = 0;
   std::size_t reroutes_ GUARDED_BY(mutex_) = 0;  ///< idempotent retries after failover
   bool started_ GUARDED_BY(mutex_) = false;
-  bool stopping_ GUARDED_BY(mutex_) = false;
 
   /// Placement ring: (hash, shard index), sorted by hash. Built once in
   /// start(); immutable afterwards (down shards are skipped at lookup).

@@ -1,6 +1,8 @@
 #include "service/server.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <thread>
 #include <utility>
 
 #include "common/log.hpp"
@@ -17,10 +19,6 @@ namespace {
   return std::chrono::steady_clock::now() +
          std::chrono::milliseconds(static_cast<std::int64_t>(*ms));
 }
-
-}  // namespace
-
-namespace {
 
 // store_export resume cursor: hex(tenant flat key) + ":" + row offset. The
 // flat key embeds unit-separator bytes, so it crosses the wire hex-encoded
@@ -57,13 +55,9 @@ namespace {
     if (hi < 0 || lo < 0) return false;
     flat.push_back(static_cast<char>((hi << 4) | lo));
   }
-  if (colon + 1 >= text.size()) return false;
-  row = 0;
-  for (std::size_t i = colon + 1; i < text.size(); ++i) {
-    if (text[i] < '0' || text[i] > '9') return false;
-    row = row * 10 + static_cast<std::size_t>(text[i] - '0');
-  }
-  return true;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data() + colon + 1, last, row);
+  return ec == std::errc{} && end == last;
 }
 
 [[nodiscard]] std::shared_ptr<store::ResultsStore> make_store(const ServerConfig& config) {
@@ -76,10 +70,34 @@ namespace {
 
 }  // namespace
 
+/// One connection's handler: every op goes to TuneServer::dispatch.
+class TuneServer::Connection final : public ConnectionHandler {
+ public:
+  explicit Connection(TuneServer& server) : server_(server) {}
+  Json handle(Op op, const Json& request, const std::string& tenant) override {
+    return server_.dispatch(op, request, tenant);
+  }
+
+ private:
+  TuneServer& server_;
+};
+
 TuneServer::TuneServer(ServerConfig config)
     : config_(std::move(config)),
       store_(make_store(config_)),
-      manager_(std::make_unique<SessionManager>(config_.limits, store_)) {
+      manager_(std::make_unique<SessionManager>(config_.limits, store_)),
+      frames_({.name = config_.name,
+               .speaker = "server",
+               .port = config_.port,
+               .threads = config_.connection_threads,
+               .poll_interval = config_.poll_interval,
+               .idle_timeout = config_.connection_idle_timeout,
+               .write_timeout = config_.write_timeout,
+               .max_connections = config_.max_connections,
+               .retry_after_ms = config_.limits.retry_after_ms,
+               .role = [this] { return std::string(standby() ? "standby" : "primary"); },
+               .idle_tick = [this] { idle_tick(); },
+               .make_handler = [this] { return std::make_unique<Connection>(*this); }}) {
   standby_ = config_.standby;
 }
 
@@ -116,15 +134,10 @@ void TuneServer::start() {
   // reports replication health from the first probe. Failure just leaves
   // the shard degraded; the next ship attempt retries.
   manager_->connect_shipper();
-  listener_ = ListenSocket::listen_loopback(config_.port);
-  listener_.set_accept_timeout(config_.poll_interval);
-  port_ = listener_.port();
-  pool_ = std::make_unique<ThreadPool>(config_.connection_threads);
-  // Dedicated accept thread by design (see the member's comment in the header).
-  accept_thread_ = std::thread([this] { accept_loop(); });  // NOLINT(reprolint-raw-thread)
+  frames_.start();
   log_info("tuned: listening on 127.0.0.1:{} ({} connection workers, "
            "max {} sessions{})",
-           port_, config_.connection_threads, config_.limits.max_sessions,
+           frames_.port(), config_.connection_threads, config_.limits.max_sessions,
            config_.standby ? ", standby" : "");
 }
 
@@ -164,10 +177,7 @@ std::size_t TuneServer::demotions() const {
   return demotions_;
 }
 
-bool TuneServer::running() const noexcept {
-  repro::MutexLock lock(mutex_);
-  return started_ && !stopping_;
-}
+bool TuneServer::running() const noexcept { return frames_.running(); }
 
 bool TuneServer::draining() const noexcept {
   repro::MutexLock lock(mutex_);
@@ -175,11 +185,8 @@ bool TuneServer::draining() const noexcept {
 }
 
 bool TuneServer::drain(std::chrono::milliseconds deadline) {
-  {
-    repro::MutexLock lock(mutex_);
-    if (!started_ || stopping_) return true;
-  }
-  listener_.close();  // stop accepting; live connections keep running
+  if (!running()) return true;
+  frames_.stop_accepting();  // live connections keep running
   {
     // Flag set only after the listener is gone, so an observer of
     // draining()==true can rely on new connections being refused.
@@ -187,324 +194,101 @@ bool TuneServer::drain(std::chrono::milliseconds deadline) {
     draining_ = true;
   }
   log_info("tuned: draining ({} live sessions, {} connections)",
-           manager_->live(), active_connections());
+           manager_->live(), connections().active);
   // Shutdown deadline; never feeds tuning results.
   const auto stop_at = std::chrono::steady_clock::now() + deadline;  // NOLINT(reprolint-wall-clock)
   while (std::chrono::steady_clock::now() < stop_at) {  // NOLINT(reprolint-wall-clock)
-    if (manager_->live() == 0 && active_connections() == 0) return true;
+    if (manager_->live() == 0 && connections().active == 0) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  return manager_->live() == 0 && active_connections() == 0;
+  return manager_->live() == 0 && connections().active == 0;
 }
 
 void TuneServer::stop() {
-  std::vector<std::shared_ptr<Socket>> sockets;
-  {
-    repro::MutexLock lock(mutex_);
-    if (!started_ || stopping_) {
-      if (!started_) return;
-      // fallthrough for idempotent stop after a previous stop() finished
-    }
-    stopping_ = true;
-    sockets.reserve(connections_.size());
-    // Shutdown broadcast: every socket gets shut down, so the unordered
-    // iteration order is immaterial.
-    for (auto& [id, socket] : connections_) sockets.push_back(socket);  // NOLINT(reprolint-unordered-iteration)
-  }
-  listener_.close();
-  for (const auto& socket : sockets) socket->shutdown_both();
   // Unblock handlers parked in session ask()/result() before joining them.
-  manager_->cancel_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  pool_.reset();  // joins connection workers
+  frames_.stop([this] { manager_->cancel_all(); });
 }
 
-std::size_t TuneServer::active_connections() const {
-  repro::MutexLock lock(mutex_);
-  return connections_.size();
+void TuneServer::idle_tick() {
+  // A standby must not run its own idle clock: its sessions only see
+  // activity when records arrive, so it evicts exactly when the primary
+  // ships a ship_evict record (keeping both sides' tombstones in lockstep).
+  if (standby()) return;
+  (void)manager_->evict_idle();
+  // Deposed-primary rejoin: a fence means our follower was promoted — this
+  // daemon lost a failover race and its unshipped tail is divergent. Demote
+  // into a clean standby so the new primary can re-seed us, with zero
+  // operator action.
+  if (config_.auto_rejoin && manager_->ship_state() == ShipState::kFenced) demote();
 }
 
-std::size_t TuneServer::connections_accepted() const {
-  repro::MutexLock lock(mutex_);
-  return connections_accepted_;
-}
-
-std::size_t TuneServer::connections_reaped() const {
-  repro::MutexLock lock(mutex_);
-  return connections_reaped_;
-}
-
-std::size_t TuneServer::connections_refused() const {
-  repro::MutexLock lock(mutex_);
-  return connections_refused_;
-}
-
-void TuneServer::accept_loop() {
-  while (true) {
-    {
-      repro::MutexLock lock(mutex_);
-      if (stopping_) return;
-    }
-    Socket socket;
-    const Socket::Io io = listener_.accept(&socket);
-    if (io == Socket::Io::kTimeout) {
-      // The accept tick doubles as the idle-eviction heartbeat. A standby
-      // must not run its own idle clock: its sessions only see activity
-      // when records arrive, so it evicts exactly when the primary ships a
-      // ship_evict record (keeping both sides' tombstones in lockstep).
-      if (!standby()) {
-        (void)manager_->evict_idle();
-        // Deposed-primary rejoin: a fence means our follower was promoted
-        // — this daemon lost a failover race and its unshipped tail is
-        // divergent. Demote into a clean standby so the new primary can
-        // re-seed us, with zero operator action.
-        if (config_.auto_rejoin &&
-            manager_->ship_state() == ShipState::kFenced) {
-          demote();
-        }
-      }
-      continue;
-    }
-    if (io == Socket::Io::kClosed) return;  // stop() or drain() closed us
-    if (io == Socket::Io::kError) continue;
-
-    auto shared = std::make_shared<Socket>(std::move(socket));
-    std::uint64_t id = 0;
-    bool refused = false;
-    {
-      repro::MutexLock lock(mutex_);
-      if (stopping_) continue;  // socket closes as `shared` dies
-      if (config_.max_connections > 0 &&
-          connections_.size() >= config_.max_connections) {
-        ++connections_refused_;
-        refused = true;
-      } else {
-        id = next_connection_id_++;
-        connections_[id] = shared;
-        ++connections_accepted_;
-      }
-    }
-    if (refused) {
-      // Admission pushback on the accept thread: one short best-effort
-      // write, then close (as `shared` dies).
-      shared->set_write_timeout(config_.poll_interval);
-      (void)write_frame(*shared,
-                        make_retry_later("connection limit reached",
-                                         config_.limits.retry_after_ms));
-      continue;
-    }
-    std::vector<std::function<void()>> task;
-    task.emplace_back([this, id] {
-      try {
-        handle_connection(id);
-      } catch (const std::exception& error) {
-        log_error("tuned: connection {} handler failed: {}", id, error.what());
-      }
-      repro::MutexLock lock(mutex_);
-      connections_.erase(id);
-    });
-    pool_->submit_batch(std::move(task));
+Json TuneServer::dispatch(Op op, const Json& request, const std::string& quota_tenant) {
+  const OpInfo& info = op_info(op);
+  if (info.role == OpRole::kPrimary && standby()) {
+    return make_error(ErrorCode::kWrongRole,
+                      "this daemon is a hot standby; " + std::string(info.name) +
+                          " belongs on the primary (or promote this one first)");
   }
-}
-
-void TuneServer::handle_connection(std::uint64_t id) {
-  std::shared_ptr<Socket> socket;
-  {
-    repro::MutexLock lock(mutex_);
-    const auto it = connections_.find(id);
-    if (it == connections_.end()) return;
-    socket = it->second;
+  if (info.role == OpRole::kStandby && !standby()) {
+    // A fenced ex-primary must never accept replication records; the
+    // shipper on the other side fences itself on this answer.
+    return make_error(ErrorCode::kWrongRole,
+                      "this daemon is a primary; ship_* records belong on "
+                      "a standby");
   }
-  socket->set_read_timeout(config_.poll_interval);
-  if (config_.write_timeout.count() > 0)
-    socket->set_write_timeout(config_.write_timeout);
-  FrameReader reader(*socket);
-  ConnState conn;
-  std::string line;
-  // Liveness deadline bookkeeping; never feeds tuning results.
-  auto last_frame = std::chrono::steady_clock::now();
-  while (true) {
-    {
-      repro::MutexLock lock(mutex_);
-      if (stopping_) return;
-    }
-    const FrameStatus status = reader.next(&line);
-    if (status == FrameStatus::kTimeout) {
-      // Slow-loris / dead-peer guard: a connection that cannot finish a
-      // frame (silent or trickling bytes) is reaped; its sessions survive
-      // and a reconnect resumes them (resume:true, seq idempotency).
-      if (config_.connection_idle_timeout.count() > 0 &&
-          std::chrono::steady_clock::now() - last_frame >
-              config_.connection_idle_timeout) {
-        log_info("tuned: reaping connection {} (no frame in {}ms)", id,
-                 config_.connection_idle_timeout.count());
-        repro::MutexLock lock(mutex_);
-        ++connections_reaped_;
-        return;
-      }
-      continue;
-    }
-    if (status == FrameStatus::kClosed || status == FrameStatus::kMidFrameEof ||
-        status == FrameStatus::kError)
-      return;
-    if (status == FrameStatus::kOversized) {
-      // The stream cannot resynchronize after an oversized frame.
-      // Protocol-error reply, not an ack: the request was never parsed, so
-      // no durable state exists to fsync before answering.
-      // NOLINTNEXTLINE(svclint-durability)
-      (void)write_frame(*socket, make_error(ErrorCode::kOversizedFrame,
-                                            "frame exceeds " +
-                                                std::to_string(kMaxFrameBytes) +
-                                                " bytes"));
-      return;
-    }
-
-    Json request;
-    try {
-      request = Json::parse(line);
-    } catch (const JsonError& error) {
-      // Malformed-frame reply carries no durable state — the bytes never
-      // became a request, so there is nothing to append.
-      // NOLINTNEXTLINE(svclint-durability)
-      if (!write_frame(*socket, make_error(ErrorCode::kMalformedFrame, error.what())))
-        return;
-      continue;
-    }
-    bool fatal = false;
-    const Json response = dispatch(request, &conn, &fatal);
-    if (!write_frame(*socket, response)) return;
-    if (fatal) return;
-    // Restart the liveness clock only after the response is out: time spent
-    // blocked inside dispatch (a parked ask) must not count against the
-    // client, and the clock measures the peer's progress, not ours.
-    last_frame = std::chrono::steady_clock::now();
-  }
-}
-
-Json TuneServer::dispatch(const Json& request, ConnState* conn, bool* fatal) {
-  *fatal = false;
-  try {
-    const std::string op = require_string(request, "op");
-    if (op == "hello") {
-      const std::uint64_t version = require_uint(request, "version");
-      if (version != static_cast<std::uint64_t>(kProtocolVersion)) {
-        *fatal = true;
-        return make_error(ErrorCode::kVersionMismatch,
-                          "server speaks protocol version " +
-                              std::to_string(kProtocolVersion) + ", client sent " +
-                              std::to_string(version));
-      }
-      conn->hello_done = true;
-      // Quota identity: optional, connection-scoped, stamped into every
-      // open below. A repeated hello may change it (same trust model as
-      // the identity itself — the loopback peer is who it says it is).
-      if (const Json* field = request.find("tenant"))
-        conn->tenant = field->as_string();
-      Json response = make_ok();
-      response.set("version", static_cast<std::uint64_t>(kProtocolVersion));
-      response.set("server", config_.name);
-      response.set("max_frame", static_cast<std::uint64_t>(kMaxFrameBytes));
-      // Role in the handshake: a shipper that dials a promoted daemon can
-      // fence before shipping a single record (see wal_ship.cpp).
-      response.set("role", standby() ? "standby" : "primary");
-      // Version-1 extension fields this server understands (see the
-      // protocol header); old servers simply omit the list.
-      Json features = Json::array();
-      for (const char* feature :
-           {"deadline_ms", "seq", "resume", "token", "retry_later", "cluster",
-            "store", "quota"})
-        features.push_back(feature);
-      response.set("features", std::move(features));
-      return response;
-    }
-    if (!conn->hello_done) {
-      return make_error(ErrorCode::kHelloRequired,
-                        "first frame must be a hello handshake");
-    }
-    if (op == "ping") return make_ok();
-    const bool is_session_op = op == "open" || op == "ask" || op == "tell" ||
-                               op == "result" || op == "close";
-    const bool is_ship_op = op == "ship_open" || op == "ship_tell" ||
-                            op == "ship_close" || op == "ship_evict";
-    if (is_session_op && standby()) {
-      return make_error(ErrorCode::kWrongRole,
-                        "this daemon is a hot standby; session ops belong on "
-                        "the primary (or promote this one first)");
-    }
-    if (is_ship_op && !standby()) {
-      // A fenced ex-primary must never accept replication records; the
-      // shipper on the other side fences itself on this answer.
-      return make_error(ErrorCode::kWrongRole,
-                        "this daemon is a primary; ship_* records belong on "
-                        "a standby");
-    }
-    if (op == "ship_open") {
-      const std::string session = require_string(request, "session");
-      const Json* open_field = request.find("open");
-      if (open_field == nullptr)
-        return make_error(ErrorCode::kBadRequest, "ship_open requires 'open'");
-      const OpenParams params = decode_open(*open_field);
+  switch (op) {
+    case Op::kHello:  // answered by the connection core, never dispatched
+    case Op::kPing:
+      return make_ok();
+    case Op::kStatus:
+      return status_reply();
+    case Op::kOpen: {
+      if (draining() || frames_.stopping())
+        return make_error(ErrorCode::kDraining, "server is draining");
+      OpenParams params = decode_open(request);
+      // The server stamps the quota identity from the connection's hello —
+      // unconditionally, so a request-level "tenant" field can never spoof
+      // another tenant's budget. The stamped value rides the WAL open
+      // record and ship_open, surviving recovery and failover.
+      params.tenant = quota_tenant;
       std::string token;
       if (const Json* field = request.find("token")) token = field->as_string();
-      manager_->open_replica(session, params, token);
-      return make_ok();
+      Json response = make_ok();
+      response.set("session", manager_->open(params, token));
+      return response;
     }
-    if (op == "ship_tell") {
+    case Op::kAsk: {
       const std::string session = require_string(request, "session");
-      const std::uint64_t seq = require_uint(request, "seq");
-      const Json* config_field = request.find("config");
-      if (config_field == nullptr)
-        return make_error(ErrorCode::kBadRequest, "ship_tell requires 'config'");
-      const tuner::Configuration config = decode_config(*config_field);
+      bool resume = false;
+      if (const Json* field = request.find("resume")) resume = field->as_bool();
+      const auto config = manager_->ask(session, request_deadline(request), resume);
+      Json response = make_ok();
+      response.set("done", !config.has_value());
+      if (config) response.set("config", encode_config(*config));
+      return response;
+    }
+    case Op::kTell: {
+      const std::string session = require_string(request, "session");
       const tuner::Evaluation evaluation = decode_evaluation(request);
-      const SessionManager::TellAck ack =
-          manager_->apply_replica_tell(session, seq, config, evaluation);
+      const std::uint64_t seq = optional_uint(request, "seq").value_or(0);
+      const SessionManager::TellAck ack = manager_->tell(session, evaluation, seq);
       Json response = make_ok();
       response.set("remaining", static_cast<std::uint64_t>(ack.remaining));
       if (ack.duplicate) response.set("duplicate", true);
       return response;
     }
-    if (op == "ship_close") {
-      manager_->close_replica(require_string(request, "session"));
-      return make_ok();
-    }
-    if (op == "ship_evict") {
-      manager_->evict_replica(require_string(request, "session"));
-      return make_ok();
-    }
-    if (op == "promote") {
-      // Idempotent: promoting a primary is a no-op ack, so a router that
-      // lost the first response can safely retry. The reply distinguishes
-      // the no-op ("already_primary") so a double-promote race is
-      // observable without being an error.
+    case Op::kResult: {
+      const std::string session = require_string(request, "session");
+      const SessionManager::ResultPayload payload =
+          manager_->result(session, request_deadline(request));
       Json response = make_ok();
-      if (!promote()) response.set("already_primary", true);
-      response.set("role", "primary");
+      response.set("result", encode_tune_result(payload.result, payload.counters));
       return response;
     }
-    if (op == "reseed") {
-      // Router-orchestrated standby re-seeding: point this primary's
-      // shipper at a replacement follower and resync it (store snapshot +
-      // journals + digest gate). Primary-only: a standby has nothing to
-      // ship.
-      if (standby()) {
-        return make_error(ErrorCode::kWrongRole,
-                          "reseed belongs on the primary");
-      }
-      std::string host = "127.0.0.1";
-      if (const Json* field = request.find("host")) host = field->as_string();
-      const std::uint64_t port = require_uint(request, "port");
-      if (port == 0 || port > 65535)
-        return make_error(ErrorCode::kBadRequest, "reseed port out of range");
-      const bool hot = manager_->reseed(host, static_cast<std::uint16_t>(port));
-      Json response = make_ok();
-      response.set("hot", hot);
-      response.set("ship_state", to_string(manager_->ship_state()));
-      return response;
-    }
-    // Store ops answer on any role: a standby's store is inspectable (and
-    // seedable) without promoting it.
-    if (op == "store_stats") {
+    case Op::kClose:
+      manager_->close(require_string(request, "session"));
+      return make_ok();
+    case Op::kStoreStats: {
       Json response = make_ok();
       response.set("store_enabled", store_ != nullptr);
       if (store_ != nullptr) {
@@ -527,7 +311,7 @@ Json TuneServer::dispatch(const Json& request, ConnState* conn, bool* fatal) {
       }
       return response;
     }
-    if (op == "store_export") {
+    case Op::kStoreExport: {
       if (store_ == nullptr)
         return make_error(ErrorCode::kBadRequest, "no results store configured");
       std::string benchmark;
@@ -563,7 +347,7 @@ Json TuneServer::dispatch(const Json& request, ConnState* conn, bool* fatal) {
       }
       return response;
     }
-    if (op == "store_import") {
+    case Op::kStoreImport: {
       if (store_ == nullptr)
         return make_error(ErrorCode::kBadRequest, "no results store configured");
       const std::vector<store::TenantSnapshot> tenants =
@@ -584,194 +368,191 @@ Json TuneServer::dispatch(const Json& request, ConnState* conn, bool* fatal) {
         return make_error(ErrorCode::kBadRequest, error.what());
       }
     }
-    if (op == "open") {
-      {
-        repro::MutexLock lock(mutex_);
-        if (draining_ || stopping_) {
-          return make_error(ErrorCode::kDraining, "server is draining");
-        }
-      }
-      OpenParams params = decode_open(request);
-      // The server stamps the quota identity from the connection's hello —
-      // unconditionally, so a request-level "tenant" field can never spoof
-      // another tenant's budget. The stamped value rides the WAL open
-      // record and ship_open, surviving recovery and failover.
-      params.tenant = conn->tenant;
+    case Op::kShipOpen: {
+      const std::string session = require_string(request, "session");
+      const Json* open_field = request.find("open");
+      if (open_field == nullptr)
+        return make_error(ErrorCode::kBadRequest, "ship_open requires 'open'");
+      const OpenParams params = decode_open(*open_field);
       std::string token;
       if (const Json* field = request.find("token")) token = field->as_string();
-      Json response = make_ok();
-      response.set("session", manager_->open(params, token));
-      return response;
+      manager_->open_replica(session, params, token);
+      return make_ok();
     }
-    if (op == "ask") {
+    case Op::kShipTell: {
       const std::string session = require_string(request, "session");
-      bool resume = false;
-      if (const Json* field = request.find("resume")) resume = field->as_bool();
-      const auto config =
-          manager_->ask(session, request_deadline(request), resume);
-      Json response = make_ok();
-      response.set("done", !config.has_value());
-      if (config) response.set("config", encode_config(*config));
-      return response;
-    }
-    if (op == "tell") {
-      const std::string session = require_string(request, "session");
+      const std::uint64_t seq = require_uint(request, "seq");
+      const Json* config_field = request.find("config");
+      if (config_field == nullptr)
+        return make_error(ErrorCode::kBadRequest, "ship_tell requires 'config'");
+      const tuner::Configuration config = decode_config(*config_field);
       const tuner::Evaluation evaluation = decode_evaluation(request);
-      const std::uint64_t seq = optional_uint(request, "seq").value_or(0);
-      const SessionManager::TellAck ack = manager_->tell(session, evaluation, seq);
+      const SessionManager::TellAck ack =
+          manager_->apply_replica_tell(session, seq, config, evaluation);
       Json response = make_ok();
       response.set("remaining", static_cast<std::uint64_t>(ack.remaining));
       if (ack.duplicate) response.set("duplicate", true);
       return response;
     }
-    if (op == "result") {
-      const std::string session = require_string(request, "session");
-      const SessionManager::ResultPayload payload =
-          manager_->result(session, request_deadline(request));
-      Json response = make_ok();
-      response.set("result", encode_tune_result(payload.result, payload.counters));
-      return response;
-    }
-    if (op == "close") {
-      manager_->close(require_string(request, "session"));
+    case Op::kShipClose:
+      manager_->close_replica(require_string(request, "session"));
       return make_ok();
-    }
-    if (op == "status") {
-      const StatusReport report = manager_->status();
+    case Op::kShipEvict:
+      manager_->evict_replica(require_string(request, "session"));
+      return make_ok();
+    case Op::kPromote: {
+      // Idempotent: promoting a primary is a no-op ack, so a router that
+      // lost the first response can safely retry. The reply distinguishes
+      // the no-op ("already_primary") so a double-promote race is
+      // observable without being an error.
       Json response = make_ok();
-      response.set("server", config_.name);
-      response.set("version", static_cast<std::uint64_t>(kProtocolVersion));
-      response.set("live_sessions", static_cast<std::uint64_t>(report.live_sessions));
-      response.set("opened", static_cast<std::uint64_t>(report.opened));
-      response.set("closed", static_cast<std::uint64_t>(report.closed));
-      response.set("evicted", static_cast<std::uint64_t>(report.evicted));
-      response.set("finished", static_cast<std::uint64_t>(report.finished));
-      response.set("asks", static_cast<std::uint64_t>(report.asks));
-      response.set("tells", static_cast<std::uint64_t>(report.tells));
-      response.set("duplicate_tells",
-                   static_cast<std::uint64_t>(report.duplicate_tells));
-      response.set("tallies", encode_counters(report.tallies));
-      response.set("wal_enabled", report.wal_enabled);
-      if (report.wal_enabled) {
-        response.set("wal_errors", static_cast<std::uint64_t>(report.wal_errors));
-        Json recovery = Json::object();
-        recovery.set("sessions_recovered",
-                     static_cast<std::uint64_t>(report.recovery.sessions_recovered));
-        recovery.set("tells_replayed",
-                     static_cast<std::uint64_t>(report.recovery.tells_replayed));
-        recovery.set("sessions_failed",
-                     static_cast<std::uint64_t>(report.recovery.sessions_failed));
-        recovery.set("torn_tails",
-                     static_cast<std::uint64_t>(report.recovery.torn_tails));
-        recovery.set("closed_discarded",
-                     static_cast<std::uint64_t>(report.recovery.closed_discarded));
-        recovery.set("evicted_tombstones",
-                     static_cast<std::uint64_t>(report.recovery.evicted_tombstones));
-        response.set("recovery", std::move(recovery));
-      }
-      response.set("store_enabled", report.store_enabled);
-      if (report.store_enabled && store_ != nullptr) {
-        const store::StoreStats stats = store_->stats();
-        Json store_summary = Json::object();
-        store_summary.set("records", static_cast<std::uint64_t>(stats.records));
-        store_summary.set("tenants", static_cast<std::uint64_t>(stats.tenants));
-        store_summary.set("append_errors",
-                          static_cast<std::uint64_t>(report.store_errors));
-        store_summary.set("io_errors", stats.io_errors);
-        response.set("store", std::move(store_summary));
-      }
-      response.set("ship_enabled", report.ship_enabled);
-      response.set("ship_state", to_string(report.ship_state));
-      if (report.ship_enabled) {
-        response.set("ship_connected", report.ship_connected);
-        response.set("ship_fenced", report.ship_fenced);
-        if (!report.ship_target.empty())
-          response.set("ship_target", report.ship_target);
-        Json ship = Json::object();
-        ship.set("records_shipped",
-                 static_cast<std::uint64_t>(report.ship.records_shipped));
-        ship.set("duplicates_acked",
-                 static_cast<std::uint64_t>(report.ship.duplicates_acked));
-        ship.set("resyncs", static_cast<std::uint64_t>(report.ship.resyncs));
-        ship.set("reconnects", static_cast<std::uint64_t>(report.ship.reconnects));
-        ship.set("failures", static_cast<std::uint64_t>(report.ship.failures));
-        ship.set("retargets", static_cast<std::uint64_t>(report.ship.retargets));
-        ship.set("store_rows_resynced",
-                 static_cast<std::uint64_t>(report.ship.store_rows_resynced));
-        response.set("ship", std::move(ship));
-      }
-      {
-        // Quota block: aggregate shed/pushback counters plus one row per
-        // named tenant, so the router can merge fairness state cluster-wide.
-        Json quotas = Json::object();
-        quotas.set("enabled", report.quotas.enabled);
-        quotas.set("queue_depth",
-                   static_cast<std::uint64_t>(report.quotas.queue_depth));
-        quotas.set("queued", static_cast<std::uint64_t>(report.quotas.queued));
-        quotas.set("granted", static_cast<std::uint64_t>(report.quotas.granted));
-        quotas.set("timeouts",
-                   static_cast<std::uint64_t>(report.quotas.timeouts));
-        quotas.set("shed_anonymous",
-                   static_cast<std::uint64_t>(report.quotas.shed_anonymous));
-        quotas.set("shed_over_quota",
-                   static_cast<std::uint64_t>(report.quotas.shed_over_quota));
-        quotas.set("shed_queue_full",
-                   static_cast<std::uint64_t>(report.quotas.shed_queue_full));
-        quotas.set("tell_pushbacks",
-                   static_cast<std::uint64_t>(report.quotas.tell_pushbacks));
-        Json tenants = Json::array();
-        for (const StatusReport::TenantStatus& row : report.quotas.tenants) {
-          Json entry = Json::object();
-          entry.set("tenant", row.tenant);
-          entry.set("sessions", static_cast<std::uint64_t>(row.sessions));
-          entry.set("inflight_tells",
-                    static_cast<std::uint64_t>(row.inflight_tells));
-          entry.set("queued", static_cast<std::uint64_t>(row.queued));
-          tenants.push_back(std::move(entry));
-        }
-        quotas.set("tenants", std::move(tenants));
-        response.set("quotas", std::move(quotas));
-      }
-      {
-        repro::MutexLock lock(mutex_);
-        response.set("role", standby_ ? "standby" : "primary");
-        response.set("promotions", static_cast<std::uint64_t>(promotions_));
-        response.set("demotions", static_cast<std::uint64_t>(demotions_));
-        response.set("draining", draining_ || stopping_);
-        response.set("active_connections",
-                     static_cast<std::uint64_t>(connections_.size()));
-        response.set("connections_accepted",
-                     static_cast<std::uint64_t>(connections_accepted_));
-        response.set("connections_reaped",
-                     static_cast<std::uint64_t>(connections_reaped_));
-        response.set("connections_refused",
-                     static_cast<std::uint64_t>(connections_refused_));
-      }
-      Json sessions = Json::array();
-      for (const SessionInfo& info : manager_->sessions()) {
-        Json entry = Json::object();
-        entry.set("id", info.id);
-        entry.set("algorithm", info.algorithm);
-        entry.set("budget", static_cast<std::uint64_t>(info.budget));
-        entry.set("asks", static_cast<std::uint64_t>(info.asks));
-        entry.set("tells", static_cast<std::uint64_t>(info.tells));
-        entry.set("finished", info.finished);
-        entry.set("idle_ms", static_cast<std::uint64_t>(info.idle.count()));
-        sessions.push_back(std::move(entry));
-      }
-      response.set("sessions", std::move(sessions));
+      if (!promote()) response.set("already_primary", true);
+      response.set("role", "primary");
       return response;
     }
-    return make_error(ErrorCode::kUnknownOp, "unknown op: " + op);
-  } catch (const ProtocolError& error) {
-    if (error.code == ErrorCode::kRetryLater)
-      return make_retry_later(error.what(), error.retry_after_ms);
-    return make_error(error.code, error.what());
-  } catch (const JsonError& error) {
-    return make_error(ErrorCode::kBadRequest, error.what());
-  } catch (const std::exception& error) {
-    return make_error(ErrorCode::kInternal, error.what());
+    case Op::kReseed: {
+      // Router-orchestrated standby re-seeding: point this primary's
+      // shipper at a replacement follower and resync it (store snapshot +
+      // journals + digest gate). Primary-only (the op table's role gate): a
+      // standby has nothing to ship.
+      std::string host = "127.0.0.1";
+      if (const Json* field = request.find("host")) host = field->as_string();
+      const std::uint64_t port = require_uint(request, "port");
+      if (port == 0 || port > 65535)
+        return make_error(ErrorCode::kBadRequest, "reseed port out of range");
+      const bool hot = manager_->reseed(host, static_cast<std::uint16_t>(port));
+      Json response = make_ok();
+      response.set("hot", hot);
+      response.set("ship_state", to_string(manager_->ship_state()));
+      return response;
+    }
   }
+  return make_error(ErrorCode::kInternal, "op without a handler");
+}
+
+Json TuneServer::status_reply() {
+  const StatusReport report = manager_->status();
+  Json response = make_ok();
+  response.set("server", config_.name);
+  response.set("version", static_cast<std::uint64_t>(kProtocolVersion));
+  response.set("live_sessions", static_cast<std::uint64_t>(report.live_sessions));
+  response.set("opened", static_cast<std::uint64_t>(report.opened));
+  response.set("closed", static_cast<std::uint64_t>(report.closed));
+  response.set("evicted", static_cast<std::uint64_t>(report.evicted));
+  response.set("finished", static_cast<std::uint64_t>(report.finished));
+  response.set("asks", static_cast<std::uint64_t>(report.asks));
+  response.set("tells", static_cast<std::uint64_t>(report.tells));
+  response.set("duplicate_tells",
+               static_cast<std::uint64_t>(report.duplicate_tells));
+  response.set("tallies", encode_counters(report.tallies));
+  response.set("wal_enabled", report.wal_enabled);
+  if (report.wal_enabled) {
+    response.set("wal_errors", static_cast<std::uint64_t>(report.wal_errors));
+    Json recovery = Json::object();
+    recovery.set("sessions_recovered",
+                 static_cast<std::uint64_t>(report.recovery.sessions_recovered));
+    recovery.set("tells_replayed",
+                 static_cast<std::uint64_t>(report.recovery.tells_replayed));
+    recovery.set("sessions_failed",
+                 static_cast<std::uint64_t>(report.recovery.sessions_failed));
+    recovery.set("torn_tails",
+                 static_cast<std::uint64_t>(report.recovery.torn_tails));
+    recovery.set("closed_discarded",
+                 static_cast<std::uint64_t>(report.recovery.closed_discarded));
+    recovery.set("evicted_tombstones",
+                 static_cast<std::uint64_t>(report.recovery.evicted_tombstones));
+    response.set("recovery", std::move(recovery));
+  }
+  response.set("store_enabled", report.store_enabled);
+  if (report.store_enabled && store_ != nullptr) {
+    const store::StoreStats stats = store_->stats();
+    Json store_summary = Json::object();
+    store_summary.set("records", static_cast<std::uint64_t>(stats.records));
+    store_summary.set("tenants", static_cast<std::uint64_t>(stats.tenants));
+    store_summary.set("append_errors",
+                      static_cast<std::uint64_t>(report.store_errors));
+    store_summary.set("io_errors", stats.io_errors);
+    response.set("store", std::move(store_summary));
+  }
+  response.set("ship_enabled", report.ship_enabled);
+  response.set("ship_state", to_string(report.ship_state));
+  if (report.ship_enabled) {
+    response.set("ship_connected", report.ship_connected);
+    response.set("ship_fenced", report.ship_fenced);
+    if (!report.ship_target.empty())
+      response.set("ship_target", report.ship_target);
+    Json ship = Json::object();
+    ship.set("records_shipped",
+             static_cast<std::uint64_t>(report.ship.records_shipped));
+    ship.set("duplicates_acked",
+             static_cast<std::uint64_t>(report.ship.duplicates_acked));
+    ship.set("resyncs", static_cast<std::uint64_t>(report.ship.resyncs));
+    ship.set("reconnects", static_cast<std::uint64_t>(report.ship.reconnects));
+    ship.set("failures", static_cast<std::uint64_t>(report.ship.failures));
+    ship.set("retargets", static_cast<std::uint64_t>(report.ship.retargets));
+    ship.set("store_rows_resynced",
+             static_cast<std::uint64_t>(report.ship.store_rows_resynced));
+    response.set("ship", std::move(ship));
+  }
+  {
+    // Quota block: aggregate shed/pushback counters plus one row per
+    // named tenant, so the router can merge fairness state cluster-wide.
+    Json quotas = Json::object();
+    quotas.set("enabled", report.quotas.enabled);
+    quotas.set("queue_depth",
+               static_cast<std::uint64_t>(report.quotas.queue_depth));
+    quotas.set("queued", static_cast<std::uint64_t>(report.quotas.queued));
+    quotas.set("granted", static_cast<std::uint64_t>(report.quotas.granted));
+    quotas.set("timeouts",
+               static_cast<std::uint64_t>(report.quotas.timeouts));
+    quotas.set("shed_anonymous",
+               static_cast<std::uint64_t>(report.quotas.shed_anonymous));
+    quotas.set("shed_over_quota",
+               static_cast<std::uint64_t>(report.quotas.shed_over_quota));
+    quotas.set("shed_queue_full",
+               static_cast<std::uint64_t>(report.quotas.shed_queue_full));
+    quotas.set("tell_pushbacks",
+               static_cast<std::uint64_t>(report.quotas.tell_pushbacks));
+    Json tenants = Json::array();
+    for (const StatusReport::TenantStatus& row : report.quotas.tenants) {
+      Json entry = Json::object();
+      entry.set("tenant", row.tenant);
+      entry.set("sessions", static_cast<std::uint64_t>(row.sessions));
+      entry.set("inflight_tells",
+                static_cast<std::uint64_t>(row.inflight_tells));
+      entry.set("queued", static_cast<std::uint64_t>(row.queued));
+      tenants.push_back(std::move(entry));
+    }
+    quotas.set("tenants", std::move(tenants));
+    response.set("quotas", std::move(quotas));
+  }
+  const bool stopping = frames_.stopping();
+  {
+    repro::MutexLock lock(mutex_);
+    response.set("role", standby_ ? "standby" : "primary");
+    response.set("promotions", static_cast<std::uint64_t>(promotions_));
+    response.set("demotions", static_cast<std::uint64_t>(demotions_));
+    response.set("draining", draining_ || stopping);
+  }
+  const ConnectionCounters counts = connections();
+  response.set("active_connections", static_cast<std::uint64_t>(counts.active));
+  response.set("connections_accepted", static_cast<std::uint64_t>(counts.accepted));
+  response.set("connections_reaped", static_cast<std::uint64_t>(counts.reaped));
+  response.set("connections_refused", static_cast<std::uint64_t>(counts.refused));
+  Json sessions = Json::array();
+  for (const SessionInfo& info : manager_->sessions()) {
+    Json entry = Json::object();
+    entry.set("id", info.id);
+    entry.set("algorithm", info.algorithm);
+    entry.set("budget", static_cast<std::uint64_t>(info.budget));
+    entry.set("asks", static_cast<std::uint64_t>(info.asks));
+    entry.set("tells", static_cast<std::uint64_t>(info.tells));
+    entry.set("finished", info.finished);
+    entry.set("idle_ms", static_cast<std::uint64_t>(info.idle.count()));
+    sessions.push_back(std::move(entry));
+  }
+  response.set("sessions", std::move(sessions));
+  return response;
 }
 
 }  // namespace repro::service

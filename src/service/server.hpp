@@ -1,12 +1,9 @@
 #pragma once
-// `tuned` server core: a portable blocking-socket JSON-lines server with no
-// poll/epoll dependency. One accept thread owns the listener (short
-// SO_RCVTIMEO ticks double as the idle-eviction heartbeat); each accepted
-// connection is handled by a worker of a dedicated repro::ThreadPool, which
-// bounds concurrent connections to the pool size (excess connections queue
-// in the pool until a worker frees up). Sessions are decoupled from
-// connections — one connection may interleave any number of sessions by id,
-// which is how a small pool serves 64+ concurrent sessions.
+// `tuned` server: the daemon's op handlers over the shared connection core
+// (service/frame_server.hpp), whose accept tick doubles as the
+// idle-eviction heartbeat. Sessions are decoupled from connections — one
+// connection may interleave any number of sessions by id, which is how a
+// small worker pool serves 64+ concurrent sessions.
 //
 // Shutdown. stop() closes the listener, shuts down every live connection
 // socket (unblocking parked readers), and cancels all sessions.
@@ -17,15 +14,10 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
-#include "common/socket.hpp"
 #include "common/thread_annotations.hpp"
-#include "common/thread_pool.hpp"
+#include "service/frame_server.hpp"
 #include "service/protocol.hpp"
 #include "service/session_manager.hpp"
 #include "store/results_store.hpp"
@@ -86,7 +78,7 @@ class TuneServer {
   /// the state dir is unusable or the port cannot be bound.
   void start();
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept { return frames_.port(); }
   [[nodiscard]] bool running() const noexcept;
   [[nodiscard]] bool draining() const noexcept;
 
@@ -121,49 +113,34 @@ class TuneServer {
   [[nodiscard]] const std::shared_ptr<store::ResultsStore>& store() const noexcept {
     return store_;
   }
-  [[nodiscard]] std::size_t active_connections() const;
-  [[nodiscard]] std::size_t connections_accepted() const;
-  /// Connections reaped by connection_idle_timeout.
-  [[nodiscard]] std::size_t connections_reaped() const;
-  /// Accepts refused by max_connections (answered retry_later).
-  [[nodiscard]] std::size_t connections_refused() const;
+  /// Open connections, plus those accepted, reaped by
+  /// connection_idle_timeout and refused by max_connections so far.
+  [[nodiscard]] ConnectionCounters connections() const { return frames_.counters(); }
 
  private:
-  /// Per-connection protocol state. The tenant identity arrives once, in
-  /// the hello, and is stamped into every open on this connection — quota
-  /// identity is a property of the authenticated link, not of individual
-  /// requests (a request-level field could be spoofed per-open).
-  struct ConnState {
-    bool hello_done = false;
-    std::string tenant;
-  };
+  class Connection;  // ConnectionHandler over dispatch()
 
-  void accept_loop();
-  void handle_connection(std::uint64_t id);
-  /// Dispatch one parsed request; never throws (errors become frames).
-  [[nodiscard]] Json dispatch(const Json& request, ConnState* conn, bool* fatal);
+  /// Answer one op after the hello: the op-table role gate, then the op's
+  /// handler. The tenant arrives once, in the hello, and is stamped into
+  /// every open on the connection — quota identity is a property of the
+  /// authenticated link, not of individual requests (a request-level field
+  /// could be spoofed per-open).
+  [[nodiscard]] Json dispatch(Op op, const Json& request, const std::string& quota_tenant);
+  [[nodiscard]] Json status_reply();
+  /// The accept tick: idle eviction and deposed-primary rejoin.
+  void idle_tick();
 
   ServerConfig config_;
-  std::uint16_t port_ = 0;
-  ListenSocket listener_;
   /// Created before (and shared with) the session manager; internally
   /// synchronized, so handlers use it without mutex_.
   std::shared_ptr<store::ResultsStore> store_;
   std::unique_ptr<SessionManager> manager_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// The accept thread owns the blocking listener; a pool worker parked in
-  /// accept() would starve connection handling on small pools.
-  std::thread accept_thread_;  // NOLINT(reprolint-raw-thread)
+  /// Listener, accept thread, connection workers, framing and hello.
+  /// Declared after manager_: its workers run handlers that use it.
+  FrameServer frames_;
 
   mutable repro::Mutex mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Socket>> connections_
-      GUARDED_BY(mutex_);
-  std::uint64_t next_connection_id_ GUARDED_BY(mutex_) = 1;
-  std::size_t connections_accepted_ GUARDED_BY(mutex_) = 0;
-  std::size_t connections_reaped_ GUARDED_BY(mutex_) = 0;
-  std::size_t connections_refused_ GUARDED_BY(mutex_) = 0;
   bool started_ GUARDED_BY(mutex_) = false;
-  bool stopping_ GUARDED_BY(mutex_) = false;
   bool draining_ GUARDED_BY(mutex_) = false;
   bool standby_ GUARDED_BY(mutex_) = false;
   std::size_t promotions_ GUARDED_BY(mutex_) = 0;

@@ -7,11 +7,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -129,58 +129,42 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto port = static_cast<std::uint16_t>(cli.get_int("port"));
+  std::uint16_t port = 0;
+  std::size_t budget = 0;
+  std::uint64_t master_seed = 0;
+  std::size_t repeats = 0;
+  std::size_t stop_after = 0;
+  service::ClientConfig client_config;
+  try {
+    port = parse_port_flag("port", cli.get("port"));
+    budget = static_cast<std::size_t>(cli.get_int("budget"));
+    master_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    repeats = static_cast<std::size_t>(cli.get_int("repeats"));
+    stop_after = static_cast<std::size_t>(cli.get_int("stop-after"));
+    client_config.max_retries = static_cast<std::size_t>(cli.get_int("retries"));
+    client_config.heartbeat_ms = static_cast<std::uint64_t>(cli.get_int("heartbeat-ms"));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "tune_client: %s\n", error.what());
+    return 2;
+  }
   std::vector<service::ClientConfig::Endpoint> endpoints;
-  {
-    const std::string text = cli.get("endpoints");
-    std::string item;
-    for (const char c : text + ",") {
-      if (c != ',') {
-        item.push_back(c);
-        continue;
-      }
-      if (item.empty()) continue;
-      service::ClientConfig::Endpoint endpoint;
-      const std::size_t colon = item.rfind(':');
-      const std::string port_text =
-          colon == std::string::npos ? item : item.substr(colon + 1);
-      if (colon != std::string::npos && colon > 0)
-        endpoint.host = item.substr(0, colon);
-      endpoint.port = static_cast<std::uint16_t>(
-          std::strtoul(port_text.c_str(), nullptr, 10));
-      if (endpoint.port == 0) {
-        std::fprintf(stderr, "tune_client: bad --endpoints entry '%s'\n",
-                     item.c_str());
-        return 2;
-      }
-      endpoints.push_back(endpoint);
-      item.clear();
+  for (const std::string& item : split_list(cli.get("endpoints"))) {
+    service::ClientConfig::Endpoint endpoint;
+    if (!service::parse_endpoint(item, &endpoint.host, &endpoint.port)) {
+      std::fprintf(stderr, "tune_client: bad --endpoints entry '%s'\n", item.c_str());
+      return 2;
     }
+    endpoints.push_back(endpoint);
   }
   if (port == 0 && endpoints.empty()) {
     std::fprintf(stderr, "tune_client: --port or --endpoints is required\n%s",
                  cli.usage().c_str());
     return 2;
   }
-  const std::size_t budget = static_cast<std::size_t>(cli.get_int("budget"));
-  const auto master_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const std::size_t repeats = static_cast<std::size_t>(cli.get_int("repeats"));
 
-  std::vector<std::string> algorithms;
   const std::string algorithms_arg = cli.get("algorithms");
-  if (algorithms_arg == "paper") {
-    algorithms = tuner::paper_algorithms();
-  } else {
-    std::string token;
-    for (const char c : algorithms_arg + ",") {
-      if (c == ',') {
-        if (!token.empty()) algorithms.push_back(token);
-        token.clear();
-      } else {
-        token.push_back(c);
-      }
-    }
-  }
+  const std::vector<std::string> algorithms =
+      algorithms_arg == "paper" ? tuner::paper_algorithms() : split_list(algorithms_arg);
 
   harness::BenchmarkContext context(
       imagecl::benchmark_by_name(cli.get("benchmark")),
@@ -190,12 +174,9 @@ int main(int argc, char** argv) {
               cli.get("benchmark").c_str(), cli.get("arch").c_str(),
               context.optimum_us(), budget);
 
-  service::ClientConfig client_config;
   client_config.host = cli.get("host");
   client_config.port = port;
   client_config.endpoints = std::move(endpoints);
-  client_config.max_retries = static_cast<std::size_t>(cli.get_int("retries"));
-  client_config.heartbeat_ms = static_cast<std::uint64_t>(cli.get_int("heartbeat-ms"));
   service::Client client(client_config);
   try {
     client.connect();
@@ -283,7 +264,6 @@ int main(int argc, char** argv) {
     }
     std::fflush(csv);
   }
-  const std::size_t stop_after = static_cast<std::size_t>(cli.get_int("stop-after"));
   std::size_t cells_this_run = 0;
 
   bool all_verified = true;

@@ -7,7 +7,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/cli.hpp"
@@ -81,57 +82,56 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 2;
 
   service::ServerConfig config;
-  config.port = static_cast<std::uint16_t>(cli.get_int("port"));
-  config.connection_threads = static_cast<std::size_t>(cli.get_int("threads"));
-  config.limits.max_sessions = static_cast<std::size_t>(cli.get_int("max-sessions"));
-  config.limits.idle_timeout = std::chrono::milliseconds(cli.get_int("idle-timeout-ms"));
-  config.limits.state_dir = cli.get("state-dir");
-  config.max_connections = static_cast<std::size_t>(cli.get_int("max-connections"));
-  config.standby = cli.get_flag("standby");
-  // Self-healing default for operator-run daemons: a deposed primary
-  // demotes and rejoins its shard on its own (in-process embedders keep
-  // the conservative ServerConfig default of off).
-  config.auto_rejoin = !cli.get_flag("no-auto-rejoin");
-  config.limits.quotas.max_sessions_per_tenant =
-      static_cast<std::size_t>(cli.get_int("tenant-max-sessions"));
-  config.limits.quotas.max_inflight_tells_per_tenant =
-      static_cast<std::size_t>(cli.get_int("tenant-max-inflight-tells"));
-  config.limits.quotas.admission_queue_cap =
-      static_cast<std::size_t>(cli.get_int("admission-queue-cap"));
-  const long long admission_wait = cli.get_int("admission-wait-ms");
-  config.limits.quotas.admission_wait =
-      std::chrono::milliseconds(admission_wait > 0 ? admission_wait : 0);
-  config.store_dir = cli.get("store-dir");
-  config.store_capacity = static_cast<std::size_t>(cli.get_int("store-capacity"));
-  {
-    const std::string ship_to = cli.get("ship-to");
-    const std::size_t colon = ship_to.rfind(':');
-    if (colon == std::string::npos) {
-      config.limits.ship.port =
-          static_cast<std::uint16_t>(std::strtoul(ship_to.c_str(), nullptr, 10));
-    } else {
-      config.limits.ship.host = ship_to.substr(0, colon);
-      config.limits.ship.port = static_cast<std::uint16_t>(
-          std::strtoul(ship_to.c_str() + colon + 1, nullptr, 10));
-    }
-    config.limits.ship.rpc_timeout =
-        std::chrono::milliseconds(cli.get_int("ship-timeout-ms"));
-    if (config.limits.ship.port != 0 && cli.get("state-dir").empty()) {
-      log_error("tuned: --ship-to requires --state-dir (journals are the "
-                "resync source)");
-      return 2;
-    }
-    if (config.standby && config.limits.ship.port != 0) {
-      log_error("tuned: --standby and --ship-to are mutually exclusive "
-                "(chained replication is not supported)");
-      return 2;
-    }
+  std::chrono::milliseconds drain_budget{0};
+  long long status_interval = 0;
+  try {
+    config.port = parse_port_flag("port", cli.get("port"));
+    config.connection_threads = static_cast<std::size_t>(cli.get_int("threads"));
+    config.limits.max_sessions = static_cast<std::size_t>(cli.get_int("max-sessions"));
+    config.limits.idle_timeout = std::chrono::milliseconds(cli.get_int("idle-timeout-ms"));
+    config.limits.state_dir = cli.get("state-dir");
+    config.max_connections = static_cast<std::size_t>(cli.get_int("max-connections"));
+    config.standby = cli.get_flag("standby");
+    // Self-healing default for operator-run daemons: a deposed primary
+    // demotes and rejoins its shard on its own (in-process embedders keep
+    // the conservative ServerConfig default of off).
+    config.auto_rejoin = !cli.get_flag("no-auto-rejoin");
+    config.limits.quotas.max_sessions_per_tenant =
+        static_cast<std::size_t>(cli.get_int("tenant-max-sessions"));
+    config.limits.quotas.max_inflight_tells_per_tenant =
+        static_cast<std::size_t>(cli.get_int("tenant-max-inflight-tells"));
+    config.limits.quotas.admission_queue_cap =
+        static_cast<std::size_t>(cli.get_int("admission-queue-cap"));
+    const long long admission_wait = cli.get_int("admission-wait-ms");
+    config.limits.quotas.admission_wait =
+        std::chrono::milliseconds(admission_wait > 0 ? admission_wait : 0);
+    config.store_dir = cli.get("store-dir");
+    config.store_capacity = static_cast<std::size_t>(cli.get_int("store-capacity"));
+    config.limits.ship.rpc_timeout = std::chrono::milliseconds(cli.get_int("ship-timeout-ms"));
+    const long long conn_idle = cli.get_int("conn-idle-timeout-ms");
+    config.connection_idle_timeout = std::chrono::milliseconds(conn_idle > 0 ? conn_idle : 0);
+    drain_budget = std::chrono::milliseconds(cli.get_int("drain-timeout-ms"));
+    status_interval = cli.get_int("status-interval-ms");
+  } catch (const std::invalid_argument& error) {
+    log_error("tuned: {}", error.what());
+    return 2;
   }
-  const long long conn_idle = cli.get_int("conn-idle-timeout-ms");
-  config.connection_idle_timeout =
-      std::chrono::milliseconds(conn_idle > 0 ? conn_idle : 0);
-  const auto drain_budget = std::chrono::milliseconds(cli.get_int("drain-timeout-ms"));
-  const long long status_interval = cli.get_int("status-interval-ms");
+  const std::string ship_to = cli.get("ship-to");
+  if (ship_to != "0" && !ship_to.empty() &&
+      !service::parse_endpoint(ship_to, &config.limits.ship.host, &config.limits.ship.port)) {
+    log_error("tuned: --ship-to: expected host:port or a port in 1..65535, got '{}'", ship_to);
+    return 2;
+  }
+  if (config.limits.ship.port != 0 && config.limits.state_dir.empty()) {
+    log_error("tuned: --ship-to requires --state-dir (journals are the "
+              "resync source)");
+    return 2;
+  }
+  if (config.standby && config.limits.ship.port != 0) {
+    log_error("tuned: --standby and --ship-to are mutually exclusive "
+              "(chained replication is not supported)");
+    return 2;
+  }
 
   // A peer vanishing mid-write must surface as a send error on that
   // connection, not kill the daemon (writes also pass MSG_NOSIGNAL, but
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
         log_info("tuned: status live={} opened={} closed={} evicted={} asks={} tells={} "
                  "connections={}",
                  report.live_sessions, report.opened, report.closed, report.evicted,
-                 report.asks, report.tells, server.active_connections());
+                 report.asks, report.tells, server.connections().active);
       }
     }
   }

@@ -11,7 +11,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,59 +26,29 @@ std::atomic<int> g_signal{0};
 
 void handle_signal(int signo) { g_signal.store(signo, std::memory_order_relaxed); }
 
-bool parse_endpoint(const std::string& text, std::string* host,
-                    std::uint16_t* port) {
-  const std::size_t colon = text.rfind(':');
-  const std::string port_text =
-      colon == std::string::npos ? text : text.substr(colon + 1);
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(port_text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value == 0 || value > 65535) return false;
-  *port = static_cast<std::uint16_t>(value);
-  if (colon != std::string::npos && colon > 0) *host = text.substr(0, colon);
-  return true;
-}
-
 bool parse_spares(const std::string& text,
                   std::vector<repro::service::SpareEndpoint>* spares) {
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    std::size_t end = text.find(',', begin);
-    if (end == std::string::npos) end = text.size();
-    const std::string item = text.substr(begin, end - begin);
-    begin = end + 1;
-    if (!item.empty()) {
-      repro::service::SpareEndpoint spare;
-      if (!parse_endpoint(item, &spare.host, &spare.port)) return false;
-      spares->push_back(spare);
-    }
-    if (end == text.size()) break;
+  for (const std::string& item : repro::split_list(text)) {
+    repro::service::SpareEndpoint spare;
+    if (!repro::service::parse_endpoint(item, &spare.host, &spare.port)) return false;
+    spares->push_back(spare);
   }
   return true;
 }
 
 bool parse_shards(const std::string& text,
                   std::vector<repro::service::ShardEndpoints>* shards) {
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    std::size_t end = text.find(',', begin);
-    if (end == std::string::npos) end = text.size();
-    const std::string item = text.substr(begin, end - begin);
-    begin = end + 1;
-    if (item.empty()) continue;
+  for (const std::string& item : repro::split_list(text)) {
     repro::service::ShardEndpoints endpoints;
     const std::size_t slash = item.find('/');
-    const std::string primary =
-        slash == std::string::npos ? item : item.substr(0, slash);
-    if (!parse_endpoint(primary, &endpoints.primary_host,
-                        &endpoints.primary_port))
+    if (!repro::service::parse_endpoint(item.substr(0, slash), &endpoints.primary_host,
+                                        &endpoints.primary_port))
       return false;
     if (slash != std::string::npos &&
-        !parse_endpoint(item.substr(slash + 1), &endpoints.standby_host,
-                        &endpoints.standby_port))
+        !repro::service::parse_endpoint(item.substr(slash + 1), &endpoints.standby_host,
+                                        &endpoints.standby_port))
       return false;
     shards->push_back(endpoints);
-    if (end == text.size()) break;
   }
   return !shards->empty();
 }
@@ -109,14 +79,19 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 2;
 
   service::RouterConfig config;
-  config.port = static_cast<std::uint16_t>(cli.get_int("port"));
-  config.connection_threads = static_cast<std::size_t>(cli.get_int("threads"));
-  const long long probe_interval = cli.get_int("probe-interval-ms");
-  config.probe_interval =
-      std::chrono::milliseconds(probe_interval > 0 ? probe_interval : 0);
-  config.probe_timeout = std::chrono::milliseconds(cli.get_int("probe-timeout-ms"));
-  config.probe_failures_before_down =
-      static_cast<std::size_t>(cli.get_int("probe-failures"));
+  try {
+    config.port = parse_port_flag("port", cli.get("port"));
+    config.connection_threads = static_cast<std::size_t>(cli.get_int("threads"));
+    const long long probe_interval = cli.get_int("probe-interval-ms");
+    config.probe_interval =
+        std::chrono::milliseconds(probe_interval > 0 ? probe_interval : 0);
+    config.probe_timeout = std::chrono::milliseconds(cli.get_int("probe-timeout-ms"));
+    config.probe_failures_before_down =
+        static_cast<std::size_t>(cli.get_int("probe-failures"));
+  } catch (const std::invalid_argument& error) {
+    log_error("tunelb: {}", error.what());
+    return 2;
+  }
   if (!parse_shards(cli.get("shards"), &config.shards)) {
     log_error("tunelb: --shards is required, e.g. --shards 7001/7101,7002");
     return 2;

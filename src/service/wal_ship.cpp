@@ -8,6 +8,41 @@
 
 namespace repro::service {
 
+namespace {
+
+/// A ship_* record naming session `id`.
+Json ship_frame(Op op, const std::string& id) {
+  Json request = op_frame(op);
+  request.set("session", id);
+  return request;
+}
+
+Json ship_open_frame(const std::string& id, const std::string& token,
+                     const OpenParams& params) {
+  Json request = ship_frame(Op::kShipOpen, id);
+  if (!token.empty()) request.set("token", token);
+  request.set("open", encode_open(params));
+  return request;
+}
+
+Json ship_tell_frame(const std::string& id, std::uint64_t seq,
+                     const tuner::Configuration& config,
+                     const tuner::Evaluation& evaluation) {
+  Json request = ship_frame(Op::kShipTell, id);
+  request.set("seq", seq);
+  request.set("config", encode_config(config));
+  encode_evaluation_into(request, evaluation);
+  return request;
+}
+
+Json store_import_frame(const std::vector<store::TenantSnapshot>& tenants) {
+  Json request = op_frame(Op::kStoreImport);
+  request.set("tenants", encode_tenants(tenants));
+  return request;
+}
+
+}  // namespace
+
 const char* to_string(ShipState state) noexcept {
   switch (state) {
     case ShipState::kDisabled: return "disabled";
@@ -18,40 +53,6 @@ const char* to_string(ShipState state) noexcept {
   }
   return "?";
 }
-
-// One connected, handshaken follower link. Deliberately not service::Client:
-// the shipper needs every blocking wait bounded by rpc_timeout (a hung
-// follower must not park the primary's tell path), which means a read
-// timeout tick and an explicit per-RPC deadline.
-struct WalShipper::Link {
-  Socket socket;
-  FrameReader reader;
-
-  explicit Link(Socket s) : socket(std::move(s)), reader(socket) {}
-
-  /// Send one frame and await the response within `deadline`. Returns
-  /// nullopt on any transport failure or deadline expiry.
-  std::optional<Json> call(const Json& request,
-                           std::chrono::steady_clock::time_point deadline) {
-    if (!write_frame(socket, request)) return std::nullopt;
-    std::string line;
-    while (true) {
-      const FrameStatus status = reader.next(&line);
-      if (status == FrameStatus::kOk) break;
-      if (status == FrameStatus::kTimeout) {
-        // RPC deadline bookkeeping; never feeds tuning results.
-        if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-        continue;
-      }
-      return std::nullopt;  // closed / torn / oversized / error
-    }
-    try {
-      return Json::parse(line);
-    } catch (const JsonError&) {
-      return std::nullopt;
-    }
-  }
-};
 
 WalShipper::WalShipper(ShipConfig config,
                        std::shared_ptr<store::ResultsStore> store)
@@ -148,29 +149,19 @@ bool WalShipper::ensure_link(bool ignore_backoff) {
   attempted_ = true;
   last_attempt_ = now;
 
-  Socket socket;
+  std::unique_ptr<RpcLink> link;
   try {
-    socket = config_.host == "127.0.0.1" ? Socket::connect_loopback(config_.port)
-                                         : Socket::connect_tcp(config_.host, config_.port);
+    // Bounded writes: a follower that stops draining cannot park us.
+    link = std::make_unique<RpcLink>(config_.host, config_.port, config_.rpc_timeout);
   } catch (const std::exception& error) {
     log_debug("wal_ship: connect to {}:{} failed: {}", config_.host, config_.port,
               error.what());
     return false;
   }
-  // Short read tick so Link::call can poll its deadline; bounded writes so
-  // a follower that stops draining cannot park us either.
-  socket.set_read_timeout(std::chrono::milliseconds(50));
-  socket.set_write_timeout(config_.rpc_timeout);
-  auto link = std::make_unique<Link>(std::move(socket));
-
-  Json hello = Json::object();
-  hello.set("op", "hello");
-  hello.set("version", static_cast<std::uint64_t>(kProtocolVersion));
-  hello.set("client", config_.name);
   // RPC deadline; never feeds tuning results.
-  const auto deadline = std::chrono::steady_clock::now() + config_.rpc_timeout;
-  const std::optional<Json> reply = link->call(hello, deadline);
-  if (!reply || !reply->find("ok") || !reply->find("ok")->as_bool()) {
+  const std::optional<Json> reply =
+      link->hello(config_.name, std::chrono::steady_clock::now() + config_.rpc_timeout);
+  if (!reply) {
     log_warn("wal_ship: handshake with {}:{} failed", config_.host, config_.port);
     return false;
   }
@@ -209,8 +200,8 @@ bool WalShipper::ensure_link(bool ignore_backoff) {
 std::optional<Json> WalShipper::call(const Json& request) {
   if (link_ == nullptr) return std::nullopt;
   // RPC deadline; never feeds tuning results.
-  const auto deadline = std::chrono::steady_clock::now() + config_.rpc_timeout;
-  std::optional<Json> reply = link_->call(request, deadline);
+  std::optional<Json> reply =
+      link_->call(request, std::chrono::steady_clock::now() + config_.rpc_timeout);
   if (!reply) {
     ++counters_.failures;
     link_.reset();
@@ -224,8 +215,7 @@ std::optional<Json> WalShipper::call(const Json& request) {
              config_.host, config_.port);
     return std::nullopt;
   }
-  const Json* ok = reply->find("ok");
-  if (ok != nullptr && ok->is_bool() && !ok->as_bool()) {
+  if (!is_ok(*reply)) {
     const Json* code = reply->find("error");
     const std::string text = code != nullptr && code->is_string() ? code->as_string() : "?";
     if (error_code_from(text) == ErrorCode::kWrongRole) {
@@ -270,40 +260,26 @@ bool WalShipper::resync() {
       continue;  // unrecoverable journal: recovery already dropped it
     }
     if (journal.closed) continue;  // about to be unlinked; nothing to replicate
-    Json open = Json::object();
-    open.set("op", "ship_open");
-    open.set("session", journal.id);
-    if (!journal.token.empty()) open.set("token", journal.token);
-    open.set("open", encode_open(journal.open));
-    std::optional<Json> reply = call(open);
-    if (!reply || !reply->find("ok")->as_bool()) return false;
-    ++counters_.records_shipped;
+    if (!reship(ship_open_frame(journal.id, journal.token, journal.open))) return false;
     for (const WalTell& tell : journal.tells) {
-      Json record = Json::object();
-      record.set("op", "ship_tell");
-      record.set("session", journal.id);
-      record.set("seq", tell.seq);
-      record.set("config", encode_config(tell.config));
-      encode_evaluation_into(record, tell.evaluation);
-      reply = call(record);
-      if (!reply || !reply->find("ok")->as_bool()) return false;
-      ++counters_.records_shipped;
-      if (reply->find("duplicate") != nullptr) ++counters_.duplicates_acked;
+      if (!reship(ship_tell_frame(journal.id, tell.seq, tell.config, tell.evaluation)))
+        return false;
     }
-    if (journal.evicted) {
-      Json evict = Json::object();
-      evict.set("op", "ship_evict");
-      evict.set("session", journal.id);
-      reply = call(evict);
-      if (!reply || !reply->find("ok")->as_bool()) return false;
-      ++counters_.records_shipped;
-    }
+    if (journal.evicted && !reship(ship_frame(Op::kShipEvict, journal.id))) return false;
     ++sessions;
   }
   if (!store_digest_gate()) return false;
   log_info("wal_ship: resynced {} journaled session(s) to {}:{} — follower is "
            "hot",
            sessions, config_.host, config_.port);
+  return true;
+}
+
+bool WalShipper::reship(const Json& record) {
+  const std::optional<Json> reply = call(record);
+  if (!reply || !is_ok(*reply)) return false;
+  ++counters_.records_shipped;
+  if (reply->find("duplicate") != nullptr) ++counters_.duplicates_acked;
   return true;
 }
 
@@ -324,11 +300,8 @@ bool WalShipper::resync_store() {
       page_rows += tenant.rows.size();
     }
     if (page_rows != 0) {
-      Json request = Json::object();
-      request.set("op", "store_import");
-      request.set("tenants", encode_tenants(page.tenants));
-      const std::optional<Json> reply = call(request);
-      if (!reply || !reply->find("ok")->as_bool()) {
+      const std::optional<Json> reply = call(store_import_frame(page.tenants));
+      if (!reply || !is_ok(*reply)) {
         log_warn("wal_ship: store snapshot page refused by {}:{}", config_.host,
                  config_.port);
         return false;
@@ -348,10 +321,8 @@ bool WalShipper::store_digest_gate() {
   // The follower flips hot only when its store is byte-equivalent to ours
   // — same rows, same per-tenant insertion order. Runs after the journal
   // re-ship so tell-derived rows are already on both sides.
-  Json probe = Json::object();
-  probe.set("op", "store_stats");
-  const std::optional<Json> reply = call(probe);
-  if (!reply || !reply->find("ok")->as_bool()) return false;
+  const std::optional<Json> reply = call(op_frame(Op::kStoreStats));
+  if (!reply || !is_ok(*reply)) return false;
   const Json* enabled = reply->find("store_enabled");
   if (enabled == nullptr || !enabled->is_bool() || !enabled->as_bool()) {
     // Journal-only follower: nothing to gate on (it cannot diverge on a
@@ -393,7 +364,7 @@ bool WalShipper::ship(const Json& request) {
     // journaled before shipping), then the retry collects its ack.
     if (ensure_link(/*ignore_backoff=*/true)) reply = call(request);
   }
-  if (reply && !reply->find("ok")->as_bool()) {
+  if (reply && !is_ok(*reply)) {
     const Json* code = reply->find("error");
     const std::string text =
         code != nullptr && code->is_string() ? code->as_string() : "?";
@@ -404,8 +375,7 @@ bool WalShipper::ship(const Json& request) {
     }
   }
   if (!reply) return false;
-  const Json* ok = reply->find("ok");
-  if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) {
+  if (!is_ok(*reply)) {
     ++counters_.failures;
     const Json* message = reply->find("message");
     log_warn("wal_ship: follower refused record: {}",
@@ -420,46 +390,25 @@ bool WalShipper::ship(const Json& request) {
 
 bool WalShipper::ship_open(const std::string& id, const std::string& token,
                            const OpenParams& params) {
-  Json request = Json::object();
-  request.set("op", "ship_open");
-  request.set("session", id);
-  if (!token.empty()) request.set("token", token);
-  request.set("open", encode_open(params));
-  return ship(request);
+  return ship(ship_open_frame(id, token, params));
 }
 
 bool WalShipper::ship_tell(const std::string& id, std::uint64_t seq,
                            const tuner::Configuration& config,
                            const tuner::Evaluation& evaluation) {
-  Json request = Json::object();
-  request.set("op", "ship_tell");
-  request.set("session", id);
-  request.set("seq", seq);
-  request.set("config", encode_config(config));
-  encode_evaluation_into(request, evaluation);
-  return ship(request);
+  return ship(ship_tell_frame(id, seq, config, evaluation));
 }
 
 bool WalShipper::ship_close(const std::string& id) {
-  Json request = Json::object();
-  request.set("op", "ship_close");
-  request.set("session", id);
-  return ship(request);
+  return ship(ship_frame(Op::kShipClose, id));
 }
 
 bool WalShipper::ship_evict(const std::string& id) {
-  Json request = Json::object();
-  request.set("op", "ship_evict");
-  request.set("session", id);
-  return ship(request);
+  return ship(ship_frame(Op::kShipEvict, id));
 }
 
-bool WalShipper::ship_store_import(
-    const std::vector<store::TenantSnapshot>& tenants) {
-  Json request = Json::object();
-  request.set("op", "store_import");
-  request.set("tenants", encode_tenants(tenants));
-  return ship(request);
+bool WalShipper::ship_store_import(const std::vector<store::TenantSnapshot>& tenants) {
+  return ship(store_import_frame(tenants));
 }
 
 }  // namespace repro::service

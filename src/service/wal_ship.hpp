@@ -63,9 +63,9 @@
 #include <string>
 #include <thread>
 
-#include "common/socket.hpp"
 #include "common/thread_annotations.hpp"
 #include "service/protocol.hpp"
+#include "service/client.hpp"
 #include "store/results_store.hpp"
 
 namespace repro::service {
@@ -169,8 +169,6 @@ class WalShipper {
   bool connect_now();
 
  private:
-  struct Link;  // Socket + FrameReader bundle (defined in wal_ship.cpp)
-
   /// Ensure the link is up, resyncing journals on a fresh connect.
   bool ensure_link(bool ignore_backoff) REQUIRES(mutex_);
   /// One RPC on the established link; tears the link down on failure.
@@ -182,6 +180,8 @@ class WalShipper {
   /// acked), then the digest gate. Snapshot-first keeps the follower's
   /// per-tenant row order identical to ours (the digest is order-chained).
   bool resync() REQUIRES(mutex_);
+  /// Ship one resync record; true when the follower acked it.
+  bool reship(const Json& record) REQUIRES(mutex_);
   /// Ship the local store snapshot page by page.
   bool resync_store() REQUIRES(mutex_);
   /// Compare follower store digest with ours. True when equal (or no store
@@ -194,7 +194,8 @@ class WalShipper {
   ShipConfig config_ GUARDED_BY(mutex_);  ///< host/port mutate on retarget()
   const std::shared_ptr<store::ResultsStore> store_;
   mutable repro::Mutex mutex_;
-  std::unique_ptr<Link> link_ GUARDED_BY(mutex_);
+  /// The follower link; every call on it ends by rpc_timeout.
+  std::unique_ptr<RpcLink> link_ GUARDED_BY(mutex_);
   bool fenced_ GUARDED_BY(mutex_) = false;
   bool ever_connected_ GUARDED_BY(mutex_) = false;
   /// Reconnect pacing; never feeds tuning results.

@@ -79,7 +79,7 @@ TEST(ChaosRemote, CampaignUnderChaosIsByteIdenticalToCleanRun) {
 
   // The machinery was actually exercised: faults landed server-side too
   // (torn frames surface as mid-frame EOFs on healthy connections).
-  EXPECT_GT(server.connections_accepted(), 5u);
+  EXPECT_GT(server.connections().accepted, 5u);
   server.stop();
 }
 

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/client.hpp"
@@ -190,6 +191,31 @@ TEST(ClusterChaos, EndpointListRidesOverADeadFirstEndpoint) {
        "--budget", "6", "--seed", "7", "--retries", "3"},
       dir + "/client.out");
   EXPECT_EQ(exit_code, 0) << read_file(dir + "/client.out");
+}
+
+TEST(ServiceCli, BadPortsAndEndpointsAreUsageErrors) {
+  // Each case: the binary and its arguments, then the flag the one-line
+  // error must name. Exit code 2 is the mains' usage-error code.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{REPRO_TUNED_BIN, "--port", "12ab"}, "--port"},
+      {{REPRO_TUNED_BIN, "--port", "70000"}, "--port"},
+      {{REPRO_TUNED_BIN, "--ship-to", "127.0.0.1:70000", "--state-dir", fresh_dir()},
+       "--ship-to"},
+      {{REPRO_TUNED_BIN, "--threads", "8x"}, "--threads"},
+      {{REPRO_TUNELB_BIN, "--port", "12ab", "--shards", "7001"}, "--port"},
+      {{REPRO_TUNELB_BIN, "--port", "70000", "--shards", "7001"}, "--port"},
+      {{REPRO_TUNELB_BIN, "--shards", "7001", "--spares", "7201,127.0.0.1:70000"},
+       "--spares"},
+      {{REPRO_TUNE_CLIENT_BIN, "--port", "12ab"}, "--port"},
+      {{REPRO_TUNE_CLIENT_BIN, "--port", "70000"}, "--port"},
+      {{REPRO_TUNE_CLIENT_BIN, "--endpoints", "127.0.0.1:7000,127.0.0.1:70000"},
+       "--endpoints"},
+  };
+  const std::string log = fresh_dir() + "/cli.log";
+  for (const auto& [argv, flag] : cases) {
+    EXPECT_EQ(run(argv, log), 2) << argv[1] << " " << argv[2] << ": " << read_file(log);
+    EXPECT_NE(read_file(log).find(flag), std::string::npos) << read_file(log);
+  }
 }
 
 }  // namespace

@@ -192,6 +192,16 @@ TEST(Router, StoreExportPagesAcrossShardsWithACompositeCursor) {
   EXPECT_EQ(paged, rows);
   EXPECT_GE(pages, 4);
 
+  // A shard prefix past 2^64 must not wrap around to a valid shard index.
+  for (const char* bad : {"18446744073709551616|", "2|", "|", "-1|", "x|"}) {
+    try {
+      (void)client.store_export_page("", "", 0, bad);
+      ADD_FAILURE() << "malformed cursor '" << bad << "' was accepted";
+    } catch (const ProtocolError& error) {
+      EXPECT_EQ(error.code, ErrorCode::kBadRequest) << bad;
+    }
+  }
+
   // Re-importing the paged union into one shard dedups to the same rows.
   EXPECT_EQ(shard0.store()->import_tenants(all), 5u);
   router.stop();

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 
@@ -137,6 +138,26 @@ TEST(Cli, GetDoubleRejectsTrailingCharacters) {
       EXPECT_NE(std::string(error.what()).find("--rate"), std::string::npos) << error.what();
     }
   }
+}
+
+TEST(Cli, ParsePortFlagAcceptsPortsOnly) {
+  EXPECT_EQ(parse_port_flag("port", "0"), 0u);
+  EXPECT_EQ(parse_port_flag("port", "65535"), 65535u);
+  for (const char* bad : {"12ab", "-1", "65536", "70000", "", "1.5"}) {
+    try {
+      (void)parse_port_flag("port", bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--port"), std::string::npos) << error.what();
+    }
+  }
+}
+
+TEST(Cli, SplitListSkipsEmptyItems) {
+  EXPECT_EQ(split_list("a,b,,c,"), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_TRUE(split_list("").empty());
+  EXPECT_TRUE(split_list(",,").empty());
+  EXPECT_EQ(split_list("one"), (std::vector<std::string>{"one"}));
 }
 
 TEST(Cli, UsageListsOptions) {

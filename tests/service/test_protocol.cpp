@@ -1,12 +1,13 @@
 // Wire protocol unit tests: framing over real loopback sockets (split
-// writes, pipelined frames, oversized frames, timeouts) and the message
-// codecs the client/server pair relies on.
+// writes, pipelined frames, oversized frames, timeouts), the op table, the
+// endpoint parser, and the message codecs the client/server pair relies on.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <set>
 #include <string>
 
 #include "common/socket.hpp"
@@ -111,6 +112,73 @@ TEST(Framing, WriteFrameRoundTrip) {
   std::string line;
   ASSERT_EQ(reader.next(&line), FrameStatus::kOk);
   EXPECT_EQ(Json::parse(line).find("op")->as_string(), "status");
+}
+
+TEST(OpTable, EveryOpRoundTripsAndHasARoleAndARoute) {
+  std::set<std::string_view> names;
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    const Op op = static_cast<Op>(i);
+    const OpInfo& info = op_info(op);
+    EXPECT_EQ(info.op, op) << i;
+    EXPECT_FALSE(info.name.empty()) << i;
+    EXPECT_TRUE(names.insert(info.name).second) << "duplicate name " << info.name;
+    EXPECT_EQ(op_from(info.name), op) << info.name;
+    EXPECT_EQ(op_frame(op).dump(), R"({"op":")" + std::string(info.name) + R"("})");
+    // The role gate and the route agree: ops a daemon role refuses reach
+    // it only by session id or placement (primary-only session ops) or
+    // never through tunelb at all (standby-only replication records).
+    switch (info.role) {
+      case OpRole::kAny: break;
+      case OpRole::kPrimary:
+        EXPECT_TRUE(info.route == OpRoute::kPlace || info.route == OpRoute::kBySession ||
+                    info.route == OpRoute::kRefuse)
+            << info.name;
+        break;
+      case OpRole::kStandby: EXPECT_EQ(info.route, OpRoute::kRefuse) << info.name; break;
+    }
+  }
+  EXPECT_EQ(names.size(), kOpCount);
+  EXPECT_FALSE(op_from("frobnicate").has_value());
+  EXPECT_FALSE(op_from("").has_value());
+  EXPECT_EQ(op_info(Op::kHello).route, OpRoute::kLocal);
+  EXPECT_EQ(op_info(Op::kTell).route, OpRoute::kBySession);
+  EXPECT_EQ(op_info(Op::kStoreImport).route, OpRoute::kFanOut);
+  EXPECT_EQ(op_info(Op::kReseed).role, OpRole::kPrimary);
+  EXPECT_EQ(op_info(Op::kShipTell).role, OpRole::kStandby);
+}
+
+TEST(OpTable, ReplayRulesReadTheRequest) {
+  const auto parsed = [](const char* text) { return Json::parse(text); };
+  EXPECT_TRUE(replay_safe(op_info(Op::kResult), parsed(R"({"op":"result"})")));
+  EXPECT_FALSE(replay_safe(op_info(Op::kOpen), parsed(R"({"op":"open"})")));
+  EXPECT_FALSE(replay_safe(op_info(Op::kOpen), parsed(R"({"op":"open","token":""})")));
+  EXPECT_TRUE(replay_safe(op_info(Op::kOpen), parsed(R"({"op":"open","token":"t"})")));
+  EXPECT_FALSE(replay_safe(op_info(Op::kAsk), parsed(R"({"op":"ask","resume":false})")));
+  EXPECT_TRUE(replay_safe(op_info(Op::kAsk), parsed(R"({"op":"ask","resume":true})")));
+  EXPECT_FALSE(replay_safe(op_info(Op::kTell), parsed(R"({"op":"tell"})")));
+  EXPECT_FALSE(replay_safe(op_info(Op::kTell), parsed(R"({"op":"tell","seq":0})")));
+  EXPECT_TRUE(replay_safe(op_info(Op::kTell), parsed(R"({"op":"tell","seq":3})")));
+  EXPECT_THROW((void)replay_safe(op_info(Op::kTell), parsed(R"({"op":"tell","seq":"x"})")),
+               ProtocolError);
+}
+
+TEST(Protocol, ParseEndpointIsStrict) {
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;
+  ASSERT_TRUE(parse_endpoint("7001", &host, &port));
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 7001u);
+  ASSERT_TRUE(parse_endpoint("10.0.0.2:65535", &host, &port));
+  EXPECT_EQ(host, "10.0.0.2");
+  EXPECT_EQ(port, 65535u);
+  for (const char* bad : {"", "0", "70000", "65536", "12ab", "+5", "-5", " 5", "host:",
+                          "host:70000", "host:18446744073709551616", "host:5x"}) {
+    host = "unchanged";
+    port = 9;
+    EXPECT_FALSE(parse_endpoint(bad, &host, &port)) << "'" << bad << "'";
+    EXPECT_EQ(host, "unchanged") << bad;
+    EXPECT_EQ(port, 9u) << bad;
+  }
 }
 
 TEST(Protocol, OpenRoundTripWithRetryAndCustomSpace) {

@@ -1,4 +1,5 @@
-// TuneServer end-to-end over loopback: handshake discipline, typed errors,
+// TuneServer end-to-end over loopback: handshake discipline and frame errors
+// (on tuned and on tunelb, which share the connection core), typed errors,
 // remote-equals-in-process for every paper algorithm, idle eviction,
 // graceful drain, and a 64-concurrent-session stress test with per-session
 // result verification (any cross-wired or lost evaluation changes a
@@ -9,12 +10,14 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "service/client.hpp"
+#include "service/router.hpp"
 #include "service/server.hpp"
 #include "tests/service/service_test_util.hpp"
 #include "tuner/evaluator.hpp"
@@ -86,13 +89,40 @@ TEST(Server, RemoteEqualsInProcessForAllPaperAlgorithms) {
   server.stop();
 }
 
-TEST(Server, HelloHandshakeIsRequiredAndVersionChecked) {
-  TuneServer server(fast_config());
-  server.start();
+/// The connection core's frame discipline, on a tuned daemon and on a
+/// one-shard tunelb in front of one: both serve it from the same core.
+class FrameCore : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    server_.start();
+    if (std::string(GetParam()) == "tunelb") {
+      RouterConfig config;
+      config.shards = {{"127.0.0.1", server_.port(), "127.0.0.1", 0}};
+      config.probe_interval = std::chrono::milliseconds(0);
+      config.poll_interval = std::chrono::milliseconds(20);
+      router_ = std::make_unique<Router>(config);
+      router_->start();
+    }
+  }
+  void TearDown() override {
+    if (router_ != nullptr) router_->stop();
+    server_.stop();
+  }
+  [[nodiscard]] std::uint16_t port() const {
+    return router_ != nullptr ? router_->port() : server_.port();
+  }
 
+ private:
+  TuneServer server_{fast_config()};
+  std::unique_ptr<Router> router_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Endpoint, FrameCore, ::testing::Values("tuned", "tunelb"));
+
+TEST_P(FrameCore, HelloHandshakeIsRequiredAndVersionChecked) {
   // Op before hello -> typed error, connection stays usable.
   {
-    Socket raw = Socket::connect_loopback(server.port());
+    Socket raw = Socket::connect_loopback(port());
     FrameReader reader(raw);
     Json status = Json::object();
     status.set("op", "status");
@@ -106,7 +136,7 @@ TEST(Server, HelloHandshakeIsRequiredAndVersionChecked) {
 
   // Wrong version -> typed error, then the server closes the connection.
   {
-    Socket raw = Socket::connect_loopback(server.port());
+    Socket raw = Socket::connect_loopback(port());
     FrameReader reader(raw);
     Json hello = Json::object();
     hello.set("op", "hello");
@@ -117,13 +147,10 @@ TEST(Server, HelloHandshakeIsRequiredAndVersionChecked) {
     EXPECT_EQ(Json::parse(line).find("error")->as_string(), "version_mismatch");
     EXPECT_EQ(reader.next(&line), FrameStatus::kClosed);
   }
-  server.stop();
 }
 
-TEST(Server, MalformedFrameGetsTypedErrorAndConnectionSurvives) {
-  TuneServer server(fast_config());
-  server.start();
-  Socket raw = Socket::connect_loopback(server.port());
+TEST_P(FrameCore, MalformedFrameGetsTypedErrorAndConnectionSurvives) {
+  Socket raw = Socket::connect_loopback(port());
   FrameReader reader(raw);
   const char* garbage = "this is not json\n";
   ASSERT_TRUE(raw.write_all(garbage, std::strlen(garbage)));
@@ -138,13 +165,10 @@ TEST(Server, MalformedFrameGetsTypedErrorAndConnectionSurvives) {
   ASSERT_TRUE(write_frame(raw, hello));
   ASSERT_EQ(reader.next(&line), FrameStatus::kOk);
   EXPECT_TRUE(Json::parse(line).find("ok")->as_bool());
-  server.stop();
 }
 
-TEST(Server, OversizedFrameIsConnectionFatal) {
-  TuneServer server(fast_config());
-  server.start();
-  Socket raw = Socket::connect_loopback(server.port());
+TEST_P(FrameCore, OversizedFrameIsConnectionFatal) {
+  Socket raw = Socket::connect_loopback(port());
   FrameReader reader(raw);
   const std::string huge(kMaxFrameBytes + 64, 'x');
   ASSERT_TRUE(raw.write_all(huge.data(), huge.size()));
@@ -152,7 +176,6 @@ TEST(Server, OversizedFrameIsConnectionFatal) {
   ASSERT_EQ(reader.next(&line), FrameStatus::kOk);
   EXPECT_EQ(Json::parse(line).find("error")->as_string(), "oversized_frame");
   EXPECT_EQ(reader.next(&line), FrameStatus::kClosed);
-  server.stop();
 }
 
 TEST(Server, TypedSessionErrors) {

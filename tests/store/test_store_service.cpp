@@ -155,6 +155,7 @@ TEST(StoreService, ExportPagesOverTheWireWithCursors) {
   // and the stitched rows equal the unpaged export.
   std::size_t paged = 0;
   std::string cursor;
+  std::string first_cursor;
   std::size_t pages = 0;
   while (true) {
     const Client::ExportPage page = client.store_export_page("", "", 3, cursor);
@@ -164,16 +165,23 @@ TEST(StoreService, ExportPagesOverTheWireWithCursors) {
     ASSERT_EQ(page.truncated, !page.next_cursor.empty());
     if (page.next_cursor.empty()) break;
     cursor = page.next_cursor;
+    if (first_cursor.empty()) first_cursor = cursor;
   }
   EXPECT_EQ(paged, total);
   EXPECT_EQ(pages, (total + 2) / 3);
 
-  // A garbage cursor is a typed protocol error, not a silent full restart.
-  try {
-    (void)client.store_export_page("", "", 0, "not-a-cursor");
-    FAIL() << "malformed cursor must be refused";
-  } catch (const ProtocolError& error) {
-    EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+  // A garbage cursor is a typed protocol error, not a silent full restart;
+  // so is a row offset past 2^64, which must not wrap around to row 0.
+  const std::string key_hex = first_cursor.substr(0, first_cursor.find(':'));
+  for (const std::string& bad :
+       {std::string("not-a-cursor"), key_hex + ":18446744073709551616", key_hex + ":",
+        key_hex + ":-1"}) {
+    try {
+      (void)client.store_export_page("", "", 0, bad);
+      ADD_FAILURE() << "malformed cursor '" << bad << "' was accepted";
+    } catch (const ProtocolError& error) {
+      EXPECT_EQ(error.code, ErrorCode::kBadRequest) << bad;
+    }
   }
   client.disconnect();
   server.stop();

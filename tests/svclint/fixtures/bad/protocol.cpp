@@ -1,5 +1,10 @@
-// Round-trips kBadRequest only; kGhost (protocol.hpp) is left unwired.
+// Round-trips kBadRequest only; kGhost (protocol.hpp) is left unwired. The
+// op table has one row, "tell"; api.md also documents "vanish".
 // Lexed, never compiled.
+
+constexpr OpInfo kOps[] = {
+    {Op::kTell, "tell", OpRole::kPrimary},
+};
 
 const char* to_string(ErrorCode code) {
   switch (code) {

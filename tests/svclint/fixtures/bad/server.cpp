@@ -1,7 +1,6 @@
 // Seeded svclint-durability violation (an ack reaches the socket before the
-// fsync barrier) plus the daemon half of the wire-drift fixtures: an op the
-// router has never heard of, and a reference that keeps kBadRequest "used".
-// Lexed, never compiled.
+// fsync barrier), plus a reference that keeps kBadRequest "used" for the
+// wire-drift error-code check. Lexed, never compiled.
 
 bool handle_tell(Conn& conn) {
   write_frame(conn.io, make_ok());  // acked before the append is durable
@@ -14,14 +13,11 @@ void append_record(Conn& conn) {
   fsync(conn.fd);
 }
 
-void dispatch(Conn& conn, const std::string& op) {
-  if (op == "tell") {
-    handle_tell(conn);
-    return;
-  }
-  if (op == "snapshot") {  // handled here, unknown to the router
-    handle_tell(conn);
-    return;
+void dispatch(Conn& conn, Op op) {
+  switch (op) {
+    case Op::kTell:
+      handle_tell(conn);
+      return;
   }
   write_frame(conn.io, make_error(ErrorCode::kBadRequest, "unknown op"));
 }

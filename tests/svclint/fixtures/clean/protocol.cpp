@@ -1,5 +1,10 @@
-// kFine round-trips: to_string case plus error_code_from entry.
+// kFine round-trips: to_string case plus error_code_from entry. The op
+// table's one row, "tell", is the op api.md documents.
 // Lexed, never compiled.
+
+constexpr OpInfo kOps[] = {
+    {Op::kTell, "tell", OpRole::kPrimary},
+};
 
 const char* to_string(ErrorCode code) {
   switch (code) {

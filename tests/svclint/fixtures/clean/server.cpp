@@ -1,6 +1,5 @@
-// Conforming daemon: the fsync barrier dominates every frame write, the one
-// handled op is routed, and the one error code round-trips and is emitted.
-// Lexed, never compiled.
+// Conforming daemon: the fsync barrier dominates every frame write and the
+// one error code round-trips and is emitted. Lexed, never compiled.
 
 bool handle_tell(Conn& conn) {
   const std::string sid = require_string(conn.request, "session");
@@ -9,10 +8,11 @@ bool handle_tell(Conn& conn) {
   return true;
 }
 
-void dispatch(Conn& conn, const std::string& op) {
-  if (op == "tell") {
-    handle_tell(conn);
-    return;
+void dispatch(Conn& conn, Op op) {
+  switch (op) {
+    case Op::kTell:
+      handle_tell(conn);
+      return;
   }
   write_frame(conn.io, make_error(ErrorCode::kFine, "unknown op"));
 }

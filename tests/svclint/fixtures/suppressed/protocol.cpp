@@ -1,5 +1,10 @@
-// Round-trips kFine; kGhost stays unwired behind its suppression.
+// Round-trips kFine; kGhost stays unwired behind its suppression. The op
+// table's one row, "tell", is the op api.md documents.
 // Lexed, never compiled.
+
+constexpr OpInfo kOps[] = {
+    {Op::kTell, "tell", OpRole::kPrimary},
+};
 
 const char* to_string(ErrorCode code) {
   switch (code) {

@@ -1,6 +1,5 @@
-// The bad-corpus hazards, each carrying a justified suppression: an early
-// error reply (no durable state exists yet) and a dark-launched op the
-// router intentionally does not route. Lexed, never compiled.
+// The bad-corpus durability hazard carrying a justified suppression: an
+// early error reply (no durable state exists yet). Lexed, never compiled.
 
 bool handle_tell(Conn& conn) {
   // Protocol-error reply, not an ack: nothing durable exists yet.
@@ -11,13 +10,10 @@ bool handle_tell(Conn& conn) {
   return true;
 }
 
-void dispatch(Conn& conn, const std::string& op) {
-  if (op == "tell") {
-    handle_tell(conn);
-    return;
-  }
-  if (op == "mystery") {  // NOLINT(svclint-wire-drift) dark launch, router lands next rev
-    handle_tell(conn);
-    return;
+void dispatch(Conn& conn, Op op) {
+  switch (op) {
+    case Op::kTell:
+      handle_tell(conn);
+      return;
   }
 }

@@ -418,7 +418,7 @@ void check_lock_order(const Corpus& corpus, const Options& options,
 const std::set<std::string>& durability_files() {
   static const std::set<std::string> files = {
       "session_wal.cpp", "results_store.cpp", "server.cpp", "wal_ship.cpp",
-      "session_manager.cpp"};
+      "session_manager.cpp", "frame_server.cpp"};
   return files;
 }
 
@@ -618,25 +618,17 @@ DocFile scan_doc(const SourceFile& doc, const std::string& tool) {
 void check_wire_drift(const Corpus& corpus,
                       const std::vector<SourceFile>& docs,
                       const Options& options, Report& report) {
-  // op == "name" comparison sites, keyed by file role.
-  std::map<std::string, EdgeSite> daemon_ops;
-  std::set<std::string> router_ops;
-  bool have_router = false;
-  for (std::size_t fi = 0; fi < corpus.files.size(); ++fi) {
-    const File& f = corpus.files[fi];
-    const bool is_server = f.basename == "server.cpp";
-    const bool is_router = f.basename == "router.cpp";
-    if (is_router) have_router = true;
-    if (!is_server && !is_router) continue;
+  // Wire names of the op table (protocol.cpp): every row opens with
+  // `{Op::kName, "wire_name", ...`. tuned and tunelb both dispatch on it.
+  std::set<std::string> table_ops;
+  for (const File& f : corpus.files) {
+    if (f.basename != "protocol.cpp") continue;
     const auto& t = f.lx.tokens;
-    for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-      if (is_ident(t, i) && t[i].text == "op" && is(t, i + 1, "=") &&
-          is(t, i + 2, "=") && t[i + 3].kind == TokKind::kString) {
-        if (is_server) {
-          daemon_ops.emplace(t[i + 3].text, EdgeSite{fi, t[i + 3].line});
-        } else {
-          router_ops.insert(t[i + 3].text);
-        }
+    for (std::size_t i = 0; i + 6 < t.size(); ++i) {
+      if (is(t, i, "{") && is_ident(t, i + 1) && t[i + 1].text == "Op" &&
+          is(t, i + 2, ":") && is(t, i + 3, ":") && is_ident(t, i + 4) &&
+          is(t, i + 5, ",") && t[i + 6].kind == TokKind::kString) {
+        table_ops.insert(t[i + 6].text);
       }
     }
   }
@@ -669,7 +661,7 @@ void check_wire_drift(const Corpus& corpus,
 
   // to_string cases and error_code_from's parse list (protocol.cpp), plus
   // every ErrorCode::k... reference outside protocol.* ("emitted or
-  // handled" — thrown by the daemon, matched by the client/router).
+  // handled" — thrown by a handler, matched by a client).
   std::map<std::string, std::string> wire_string;  // kCode -> "string"
   std::set<std::string> parsed_back;
   std::set<std::string> used_outside;
@@ -718,21 +710,7 @@ void check_wire_drift(const Corpus& corpus,
     }
   }
 
-  // Check 1: every daemon op must be routed (or explicitly rejected) by the
-  // router — an op tunelb has never heard of silently breaks cluster mode.
-  if (have_router) {
-    for (const auto& [op, site] : daemon_ops) {
-      if (router_ops.count(op) != 0) continue;
-      lintcore::emit(corpus.files[site.file].path, corpus.files[site.file].lx,
-                     site.line, "svclint-wire-drift",
-                     "op \"" + op +
-                         "\" is handled by the daemon but unknown to the "
-                         "router (not routed, broadcast, or rejected)",
-                     options.allow, report);
-    }
-  }
-
-  // Check 2: every ErrorCode must round-trip (to_string + error_code_from)
+  // Check 1: every ErrorCode must round-trip (to_string + error_code_from)
   // and be referenced outside protocol.* — a code nobody emits or matches
   // is drift waiting to disagree with the docs.
   if (have_protocol_cpp) {
@@ -757,9 +735,9 @@ void check_wire_drift(const Corpus& corpus,
     }
   }
 
-  // Check 3: documented schema must exist in the sources — every fenced
+  // Check 2: documented schema must exist in the sources — every fenced
   // "field": / "field"? key somewhere as a string literal, every documented
-  // op handled by daemon or router.
+  // op a row of the op table (checked whenever protocol.cpp is scanned).
   for (const SourceFile& doc : docs) {
     ++report.files_scanned;
     const DocFile scanned = scan_doc(doc, "svclint");
@@ -771,12 +749,11 @@ void check_wire_drift(const Corpus& corpus,
                          "or renamed?)",
                      options.allow, report);
     }
-    if (daemon_ops.empty() && router_ops.empty()) continue;
+    if (!have_protocol_cpp) continue;
     for (const auto& [op, line] : scanned.ops) {
-      if (daemon_ops.count(op) != 0 || router_ops.count(op) != 0) continue;
+      if (table_ops.count(op) != 0) continue;
       lintcore::emit(scanned.path, scanned.pseudo, line, "svclint-wire-drift",
-                     "documented op \"" + op +
-                         "\" is not handled by the daemon or the router",
+                     "documented op \"" + op + "\" is not a row of the op table",
                      options.allow, report);
     }
   }

@@ -15,17 +15,17 @@
 //                        file (tools/svclint/lock_order.txt, `outer ->
 //                        inner` per line).
 //   svclint-durability   In session_wal.cpp / results_store.cpp /
-//                        server.cpp / wal_ship.cpp, a frame write
+//                        server.cpp / wal_ship.cpp / session_manager.cpp /
+//                        frame_server.cpp, a frame write
 //                        (write_frame / send_frame) must not appear before
 //                        the function's first durability barrier — a direct
 //                        fsync/fdatasync or a call reaching one (name-based
 //                        call-graph closure). Functions with no barrier at
 //                        all (pure network plumbing) are exempt.
-//   svclint-wire-drift   The op / field / error-code tables extracted from
-//                        protocol.cpp, server.cpp, router.cpp, client.cpp
-//                        and the schema blocks in docs/SERVICE.md must
-//                        agree: every daemon op known to the router, every
-//                        documented field/op present in the sources, every
+//   svclint-wire-drift   The op table and error codes of protocol.cpp and
+//                        the schema blocks in docs/SERVICE.md must agree:
+//                        every documented op a row of the op table, every
+//                        documented field present in the sources, every
 //                        ErrorCode round-tripping through
 //                        to_string/error_code_from and referenced outside
 //                        protocol.*.
@@ -80,7 +80,7 @@ struct Options {
     std::vector<std::pair<std::string, std::string>>& out, std::string& error);
 
 /// Run all three rule families over a corpus. `sources` are C++ files
-/// (file-scoped rules key on the path's basename: server.cpp, router.cpp,
+/// (file-scoped rules key on the path's basename: server.cpp,
 /// protocol.hpp/.cpp, ...); `docs` are markdown files contributing schema
 /// blocks to the wire-drift rule. The rules are cross-file, so one call
 /// analyses the whole corpus.
