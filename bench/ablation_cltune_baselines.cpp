@@ -20,7 +20,9 @@
 #include "stats/mann_whitney.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("ablation_cltune_baselines",
                 "CLTune-style RS vs SA vs PSO comparison with significance");
@@ -82,3 +84,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

@@ -23,7 +23,9 @@
 #include "tuner/gp/bo_gp.hpp"
 #include "tuner/tpe/bo_tpe.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("ablation_constraints",
                 "cost of withholding the constraint from SMBO methods");
@@ -107,3 +109,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

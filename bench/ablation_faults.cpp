@@ -29,7 +29,9 @@
 #include "stats/descriptive.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("ablation_faults", "algorithm robustness vs measurement-fault rate");
   cli.add_option("bench", "benchmark", "add");
@@ -110,3 +112,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

@@ -20,7 +20,9 @@
 #include "stats/descriptive.hpp"
 #include "tuner/gp/bo_gp.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("ablation_gp_init", "BO GP initialization-fraction sweep");
   cli.add_option("bench", "benchmark", "mandelbrot");
@@ -78,3 +80,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

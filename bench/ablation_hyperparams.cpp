@@ -42,9 +42,7 @@ double run_cell(const harness::BenchmarkContext& context, tuner::SearchAlgorithm
   return stats::median(percents);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("ablation_hyperparams",
                 "does the 'best guess hyperparameters' assumption hold?");
   cli.add_option("bench", "benchmark", "mandelbrot");
@@ -121,3 +119,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

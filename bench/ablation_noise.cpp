@@ -18,7 +18,9 @@
 #include "stats/descriptive.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("ablation_noise", "algorithm ranking vs measurement noise");
   cli.add_option("bench", "benchmark", "harris");
@@ -83,3 +85,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

@@ -30,7 +30,9 @@
 #include "store/results_store.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("ablation_warmstart", "cold vs warm-started search sweep");
   cli.add_option("bench", "benchmark", "mandelbrot");
@@ -129,3 +131,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

@@ -20,7 +20,9 @@
 #include "harness/context.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("extension_convergence", "best-so-far trajectories per algorithm");
   cli.add_option("bench", "benchmark", "harris");
@@ -126,3 +128,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

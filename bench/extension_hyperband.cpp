@@ -24,7 +24,9 @@
 #include "tuner/multifidelity/hyperband.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("extension_hyperband", "HyperBand/BOHB vs the paper's algorithms");
   cli.add_option("bench", "benchmark", "harris");
@@ -113,3 +115,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

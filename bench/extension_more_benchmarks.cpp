@@ -20,7 +20,9 @@
 #include "stats/nonparametric.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("extension_more_benchmarks",
                 "Fig. 2 protocol on convolution/sobel/transpose + Friedman test");
@@ -87,3 +89,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

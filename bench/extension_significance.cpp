@@ -27,7 +27,9 @@
 #include "stats/paired.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("extension_significance",
                 "pairwise MWU matrix with Holm-Bonferroni correction");
@@ -159,3 +161,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

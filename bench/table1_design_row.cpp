@@ -15,7 +15,9 @@
 #include "common/table.hpp"
 #include "harness/study.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   repro::CliParser cli("table1_design_row",
                        "print the paper's Table I row and sample accounting");
   cli.add_option("scale", "experiment-count divisor (1 = paper scale)", "1");
@@ -71,3 +73,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

@@ -19,7 +19,9 @@
 #include "stats/mann_whitney.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("compare_algorithms", "compare all search algorithms head to head");
   cli.add_option("bench", "benchmark (add|harris|mandelbrot)", "harris");
@@ -27,25 +29,16 @@ int main(int argc, char** argv) {
   cli.add_option("repeats", "experiments per cell", "9");
   cli.add_option("sizes", "comma list of budgets", "25,100,400");
   if (!cli.parse(argc, argv)) return 0;
+  std::vector<std::size_t> sizes;
+  for (const std::string& size : split_list(cli.get("sizes"))) {
+    sizes.push_back(static_cast<std::size_t>(parse_int_flag("sizes", size)));
+  }
+  const auto repeats = static_cast<std::size_t>(cli.get_int("repeats"));
 
   harness::BenchmarkContext context(imagecl::benchmark_by_name(cli.get("bench")),
                                     simgpu::arch_by_name(cli.get("arch")), 0, 1234);
   std::printf("%s on %s — optimum %.1f us\n\n", cli.get("bench").c_str(),
               cli.get("arch").c_str(), context.optimum_us());
-
-  std::vector<std::size_t> sizes;
-  {
-    std::string token;
-    for (char c : cli.get("sizes") + ",") {
-      if (c == ',') {
-        if (!token.empty()) sizes.push_back(std::stoull(token));
-        token.clear();
-      } else {
-        token += c;
-      }
-    }
-  }
-  const auto repeats = static_cast<std::size_t>(cli.get_int("repeats"));
 
   // Collect outcome distributions per (algorithm, size).
   std::vector<std::vector<std::vector<double>>> outcomes(
@@ -94,3 +87,7 @@ int main(int argc, char** argv) {
               " mwu_p: two-sided Mann-Whitney U p-value vs RS, alpha = 0.01)\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

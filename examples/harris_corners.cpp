@@ -43,9 +43,7 @@ repro::imagecl::Image<float> make_scene(std::size_t size) {
   return image;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("harris_corners", "autotune + run Harris corner detection");
   cli.add_option("size", "test image side length", "512");
@@ -138,3 +136,7 @@ int main(int argc, char** argv) {
   std::printf("wrote harris_input.pgm and harris_corners.pgm\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

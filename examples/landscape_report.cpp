@@ -19,7 +19,9 @@
 #include "imagecl/benchmark_suite.hpp"
 #include "stats/descriptive.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("landscape_report", "search-space statistics per benchmark");
   cli.add_option("arch", "architecture", "titanv");
@@ -72,3 +74,7 @@ int main(int argc, char** argv) {
               "failed searches pay.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

@@ -13,7 +13,9 @@
 #include "imagecl/kernels/mandelbrot.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("mandelbrot_render", "autotune + render the Mandelbrot set");
   cli.add_option("size", "output image side length", "1024");
@@ -59,3 +61,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(size));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

@@ -14,7 +14,9 @@
 #include "tuner/multifidelity/hyperband.hpp"
 #include "tuner/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace repro;
   CliParser cli("multifidelity_tuning", "BOHB over problem-size fidelities");
   cli.add_option("bench", "benchmark", "harris");
@@ -62,3 +64,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run); }

@@ -6,6 +6,7 @@
 #include <system_error>
 
 #include "common/fmt.hpp"
+#include "common/log.hpp"
 
 namespace repro {
 
@@ -92,7 +93,7 @@ T parse_whole(const std::string& flag, const std::string& text, const char* expe
   const char* last = text.data() + text.size();
   const auto [end, ec] = std::from_chars(text.data(), last, value);
   if (ec != std::errc{} || end != last) {
-    throw std::invalid_argument(fmt("--{}: expected {}, got '{}'", flag, expected, text));
+    throw FlagError(fmt("--{}: expected {}, got '{}'", flag, expected, text));
   }
   return value;
 }
@@ -121,9 +122,18 @@ long long parse_int_flag(const std::string& flag, const std::string& text) {
 std::uint16_t parse_port_flag(const std::string& flag, const std::string& text) {
   const long long value = parse_int_flag(flag, text);
   if (value < 0 || value > 65535) {
-    throw std::invalid_argument(fmt("--{}: expected a port in 0..65535, got '{}'", flag, text));
+    throw FlagError(fmt("--{}: expected a port in 0..65535, got '{}'", flag, text));
   }
   return static_cast<std::uint16_t>(value);
+}
+
+int run_cli(int argc, char** argv, int (*body)(int, char**), int usage_exit) {
+  try {
+    return body(argc, argv);
+  } catch (const FlagError& error) {
+    log_error("{}", error.what());
+    return usage_exit;
+  }
 }
 
 long long CliParser::get_int(const std::string& name) const {

@@ -7,10 +7,17 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace repro {
+
+/// A flag value that does not parse; the message names the flag.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class CliParser {
  public:
@@ -29,11 +36,11 @@ class CliParser {
   [[nodiscard]] std::string get(const std::string& name) const;
   [[nodiscard]] std::optional<std::string> get_optional(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
-  /// Value as a whole number; throws std::invalid_argument naming the flag
-  /// when it is anything else ("abc", "32abc", "1.5", out of range).
+  /// Value as a whole number; throws FlagError naming the flag when it is
+  /// anything else ("abc", "32abc", "1.5", out of range).
   [[nodiscard]] long long get_int(const std::string& name) const;
-  /// Value as a number ("nan" and "inf" included); throws
-  /// std::invalid_argument naming the flag on anything else.
+  /// Value as a number ("nan" and "inf" included); throws FlagError naming
+  /// the flag on anything else.
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& positionals() const noexcept { return positionals_; }
 
@@ -57,11 +64,16 @@ class CliParser {
 [[nodiscard]] std::vector<std::string> split_list(const std::string& csv);
 
 /// Parse `text`, the value of `--flag`, as a whole base-10 number; throws
-/// std::invalid_argument naming the flag when it is anything else.
+/// FlagError naming the flag when it is anything else.
 [[nodiscard]] long long parse_int_flag(const std::string& flag, const std::string& text);
 
 /// Parse `text`, the value of `--flag`, as a TCP port (0..65535); throws
-/// std::invalid_argument naming the flag when it is anything else.
+/// FlagError naming the flag when it is anything else.
 [[nodiscard]] std::uint16_t parse_port_flag(const std::string& flag, const std::string& text);
+
+/// Run a command-line program's `body`: a FlagError escaping it logs its
+/// one line and exits with `usage_exit` instead of aborting the process.
+[[nodiscard]] int run_cli(int argc, char** argv, int (*body)(int, char**),
+                          int usage_exit = 1);
 
 }  // namespace repro

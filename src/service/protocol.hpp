@@ -74,7 +74,7 @@ enum class ErrorCode {
   kWrongRole,        ///< op sent to a daemon role (or a router) the op table
                      ///< says does not serve it; the peer should re-resolve
                      ///< which endpoint currently holds the role it wants
-  kInternal,         ///< search thread died with an unexpected exception
+  kInternal,         ///< search thread died, or a journal did not replay
 };
 
 [[nodiscard]] const char* to_string(ErrorCode code) noexcept;

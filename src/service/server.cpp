@@ -121,9 +121,9 @@ void TuneServer::start() {
              stats.torn_tail ? " (torn tail dropped)" : "");
   }
   if (!config_.limits.state_dir.empty()) {
-    // Recover before the first client can connect: replayed sessions must
+    // Recover before the first client can connect: recovered sessions must
     // be visible (and their ids reserved) before any new open lands.
-    const RecoveryStats stats = manager_->recover();
+    const RecoveryStats stats = manager_->recover(config_.standby);
     log_info("tuned: recovery from {}: {} sessions restored ({} tells), "
              "{} failed, {} torn tails, {} closed discarded, {} tombstoned",
              config_.limits.state_dir, stats.sessions_recovered,
@@ -376,7 +376,7 @@ Json TuneServer::dispatch(Op op, const Json& request, const std::string& quota_t
       const OpenParams params = decode_open(*open_field);
       std::string token;
       if (const Json* field = request.find("token")) token = field->as_string();
-      manager_->open_replica(session, params, token);
+      manager_->follow_open(session, params, token);
       return make_ok();
     }
     case Op::kShipTell: {
@@ -388,17 +388,17 @@ Json TuneServer::dispatch(Op op, const Json& request, const std::string& quota_t
       const tuner::Configuration config = decode_config(*config_field);
       const tuner::Evaluation evaluation = decode_evaluation(request);
       const SessionManager::TellAck ack =
-          manager_->apply_replica_tell(session, seq, config, evaluation);
+          manager_->follow_tell(session, seq, config, evaluation);
       Json response = make_ok();
       response.set("remaining", static_cast<std::uint64_t>(ack.remaining));
       if (ack.duplicate) response.set("duplicate", true);
       return response;
     }
     case Op::kShipClose:
-      manager_->close_replica(require_string(request, "session"));
+      manager_->follow_close(require_string(request, "session"));
       return make_ok();
     case Op::kShipEvict:
-      manager_->evict_replica(require_string(request, "session"));
+      manager_->follow_evict(require_string(request, "session"));
       return make_ok();
     case Op::kPromote: {
       // Idempotent: promoting a primary is a no-op ack, so a router that

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -31,25 +32,116 @@ SessionManager::SessionManager(SessionLimits limits,
   }
 }
 
-void SessionManager::bind_store_tenant(ManagedSession& managed,
-                                       const OpenParams& params) const {
-  if (store_ == nullptr || params.benchmark.empty() || params.arch.empty()) return;
-  managed.store_enabled = true;
-  managed.store_key = store::StoreKey{params.benchmark, params.arch,
-                                      space_fingerprint_of(params)};
+std::shared_ptr<SessionManager::ManagedSession> SessionManager::make_session(
+    const OpenParams& params, const std::string& token) const {
+  std::unique_ptr<tuner::SearchAlgorithm> algorithm;
+  try {
+    // A warm start uses the prior the open carries: on recovery and on a
+    // follower, the journaled snapshot, never a fresh (diverging) query.
+    algorithm = tuner::make_algorithm(params.algorithm, params.prior);
+  } catch (const std::out_of_range&) {
+    throw ProtocolError(ErrorCode::kBadRequest,
+                        "unknown algorithm: " + params.algorithm);
+  }
+  auto managed = std::make_shared<ManagedSession>(params, params.make_space(),
+                                                  std::move(algorithm), token);
+  // Idle-eviction bookkeeping; never feeds tuning results.
+  managed->last_activity = std::chrono::steady_clock::now();  // NOLINT(reprolint-wall-clock)
+  if (store_ != nullptr && !params.benchmark.empty() && !params.arch.empty())
+    managed->store_key = {params.benchmark, params.arch, space_fingerprint_of(params)};
+  return managed;
+}
+
+void SessionManager::adopt_locked(const std::string& id,
+                                  std::shared_ptr<ManagedSession> managed) {
+  if (!managed->open.tenant.empty()) ++tenant_live_[managed->open.tenant];
+  sessions_.emplace_back(id, std::move(managed));
+  ++opened_;
+  // Keep fresh ids clear of every registered "s<N>" (foreign id schemes
+  // cannot collide with them).
+  std::uint64_t numeric = 0;
+  if (id.size() > 1 && id[0] == 's' &&
+      std::from_chars(id.data() + 1, id.data() + id.size(), numeric).ec == std::errc{})
+    next_id_ = std::max(next_id_, numeric + 1);
+}
+
+std::shared_ptr<SessionManager::ManagedSession> SessionManager::take_locked(
+    const std::string& id) {
+  const auto it = std::find_if(sessions_.begin(), sessions_.end(),
+                               [&](const auto& entry) { return entry.first == id; });
+  if (it == sessions_.end()) return nullptr;
+  std::shared_ptr<ManagedSession> managed = std::move(it->second);
+  sessions_.erase(it);
+  note_removed_locked(*managed);
+  return managed;
+}
+
+void SessionManager::replay(ManagedSession& managed) {
+  std::unique_ptr<tuner::AskTellSession> search = managed.make_search();
+  // Deterministic search must re-propose exactly the journaled
+  // configurations; any divergence means the journal does not belong to
+  // this binary/space and restoring it would corrupt the study.
+  for (const WalTell& tell : managed.unreplayed) {
+    const std::optional<tuner::Configuration> config = search->ask();
+    if (!config || *config != tell.config) {
+      throw std::runtime_error("replay diverged from journal at seq " +
+                               std::to_string(tell.seq));
+    }
+    search->tell(tell.evaluation);
+  }
+  repro::MutexLock lock(mutex_);
+  managed.search = std::move(search);
+  std::vector<WalTell>().swap(managed.unreplayed);
+  // The proposal a client may be answering left a previous incarnation (or
+  // the deposed primary); none left this one yet.
+  managed.orphan_proposal = true;
+}
+
+tuner::AskTellSession& SessionManager::materialize(const std::string& id,
+                                                   ManagedSession& managed) {
+  repro::MutexLock replay_lock(managed.replay_mutex);
+  if (managed.search != nullptr) return *managed.search;
+  {
+    // A removal after this check cancels the search published below: its
+    // cancel() waits for replay_mutex. (A failed replay removed it too.)
+    repro::MutexLock lock(mutex_);
+    if (std::none_of(sessions_.begin(), sessions_.end(),
+                     [&](const auto& entry) { return entry.second.get() == &managed; }))
+      throw ProtocolError(ErrorCode::kSessionClosed,
+                          "session " + id + " was closed before its journal replayed");
+  }
+  const std::size_t tells = managed.unreplayed.size();
+  try {
+    replay(managed);
+  } catch (const std::exception& error) {
+    // Dropped the way recover() drops a diverged journal: counted as
+    // failed, the journal left on disk.
+    log_warn("session {}: cannot replay its journal: {}", id, error.what());
+    {
+      repro::MutexLock lock(mutex_);
+      ++recovery_.sessions_failed;
+      if (take_locked(id) != nullptr) ++closed_;
+    }
+    throw ProtocolError(ErrorCode::kInternal,
+                        "session " + id + " cannot be restored: " + error.what());
+  }
+  log_info("session {} restored from its journal ({} tells replayed)", id, tells);
+  repro::MutexLock lock(mutex_);
+  recovery_.tells_replayed += tells;
+  return *managed.search;
 }
 
 void SessionManager::store_append(const ManagedSession& managed,
                                   const tuner::Configuration& config,
                                   const tuner::Evaluation& evaluation) {
-  if (store_ == nullptr || !managed.store_enabled || config.empty()) return;
+  if (!managed.store_key || config.empty()) return;
   const double value =
       evaluation.valid ? evaluation.value : std::numeric_limits<double>::quiet_NaN();
   try {
-    (void)store_->append(managed.store_key, config, value, evaluation.valid);
+    (void)store_->append(*managed.store_key, config, value, evaluation.valid);
   } catch (const store::StoreError& error) {
     log_warn("results store: dropping record for {}/{}: {}",
-             managed.store_key.benchmark, managed.store_key.arch, error.what());
+             managed.store_key->benchmark, managed.store_key->arch, error.what());
     repro::MutexLock lock(mutex_);
     ++store_errors_;
   }
@@ -57,14 +149,12 @@ void SessionManager::store_append(const ManagedSession& managed,
 
 SessionManager::~SessionManager() { cancel_all(); }
 
-RecoveryStats SessionManager::recover() {
+RecoveryStats SessionManager::recover(bool follower) {
   RecoveryStats stats;
   if (limits_.state_dir.empty()) return stats;
   // Sorted scan: recovery order (and thus replay thread scheduling) is
   // deterministic across restarts.
   const std::vector<std::string> paths = list_session_wals(limits_.state_dir);
-  // Idle-eviction bookkeeping; never feeds tuning results.
-  const auto now = std::chrono::steady_clock::now();  // NOLINT(reprolint-wall-clock)
   for (const std::string& path : paths) {
     WalSession journal;
     try {
@@ -88,60 +178,30 @@ RecoveryStats SessionManager::recover() {
       continue;
     }
     try {
-      // A warm-started session recovers with the *journaled* prior snapshot
-      // — never a fresh store query, which would see history appended since
-      // the original open and diverge the replay.
-      std::unique_ptr<tuner::SearchAlgorithm> algorithm =
-          tuner::make_algorithm(journal.open.algorithm, journal.open.prior);
-      tuner::ParamSpace space = journal.open.make_space();
-      auto managed = std::make_shared<ManagedSession>(
-          std::move(space), std::move(algorithm), journal.open.budget,
-          journal.open.seed, journal.open.retry);
-      managed->last_activity = now;
-      managed->token = journal.token;
-      managed->tenant = journal.open.tenant;
-      bind_store_tenant(*managed, journal.open);
-      // Replay: deterministic search must re-propose exactly the journaled
-      // configurations; any divergence means the journal does not belong to
-      // this binary/space and recovering it would corrupt the study.
-      for (const WalTell& tell : journal.tells) {
-        const std::optional<tuner::Configuration> config = managed->session.ask();
-        if (!config || *config != tell.config) {
-          throw std::runtime_error("replay diverged from journal at seq " +
-                                   std::to_string(tell.seq));
-        }
-        managed->session.tell(tell.evaluation);
-        // Re-append to the results store: dedup makes this idempotent when
-        // the store already has the record, and it heals a store whose own
-        // log lost a tail the session WAL retained.
-        store_append(*managed, tell.config, tell.evaluation);
-        ++stats.tells_replayed;
+      const std::shared_ptr<ManagedSession> managed =
+          make_session(journal.open, journal.token);
+      managed->applied_seq = journal.tells.empty() ? 0 : journal.tells.back().seq;
+      managed->unreplayed = journal.tells;
+      if (!follower) {
+        replay(*managed);
+        stats.tells_replayed += journal.tells.size();
       }
-      managed->applied_seq =
-          journal.tells.empty() ? 0 : journal.tells.back().seq;
-      managed->orphan_proposal = true;
+      // Re-append to the results store: dedup makes this idempotent when
+      // the store already has the record, and it heals a store whose own
+      // log lost a tail the session WAL retained.
+      for (const WalTell& tell : journal.tells)
+        store_append(*managed, tell.config, tell.evaluation);
       managed->wal = SessionWal::reattach(path, journal.valid_bytes);
 
       repro::MutexLock lock(mutex_);
       if (managed->wal == nullptr) ++wal_errors_;
-      if (!managed->tenant.empty()) ++tenant_live_[managed->tenant];
-      sessions_.emplace_back(journal.id, managed);
-      ++opened_;
+      adopt_locked(journal.id, managed);
       asks_total_ += journal.tells.size();
       tells_total_ += journal.tells.size();
       for (const WalTell& tell : journal.tells) tallies_.count(tell.evaluation.status);
-      // Keep fresh ids clear of every recovered id ("s<N>").
-      if (journal.id.size() > 1 && journal.id[0] == 's') {
-        try {
-          const std::uint64_t numeric = std::stoull(journal.id.substr(1));
-          next_id_ = std::max(next_id_, numeric + 1);
-        } catch (const std::exception&) {
-          // Foreign id scheme; fresh ids cannot collide with it.
-        }
-      }
       ++stats.sessions_recovered;
-      log_info("recovery: session {} restored ({} tells replayed)", journal.id,
-               journal.tells.size());
+      log_info("recovery: session {} {} ({} tells)", journal.id,
+               follower ? "indexed" : "restored", journal.tells.size());
     } catch (const std::exception& error) {
       log_warn("recovery: cannot replay journal {}: {}", path, error.what());
       ++stats.sessions_failed;
@@ -200,23 +260,9 @@ std::string SessionManager::open(const OpenParams& params, const std::string& to
     }
   }
   // Construct outside the lock: registry lookup and space building can
-  // throw, and AskTellSession starts a thread.
-  std::unique_ptr<tuner::SearchAlgorithm> algorithm;
-  try {
-    algorithm = tuner::make_algorithm(effective.algorithm, effective.prior);
-  } catch (const std::out_of_range&) {
-    throw ProtocolError(ErrorCode::kBadRequest,
-                        "unknown algorithm: " + params.algorithm);
-  }
-  tuner::ParamSpace space = effective.make_space();
-  auto managed = std::make_shared<ManagedSession>(
-      std::move(space), std::move(algorithm), effective.budget, effective.seed,
-      effective.retry);
-  // Idle-eviction bookkeeping; never feeds tuning results.
-  managed->last_activity = std::chrono::steady_clock::now();  // NOLINT(reprolint-wall-clock)
-  managed->token = token;
-  managed->tenant = effective.tenant;
-  bind_store_tenant(*managed, effective);
+  // throw, and the search starts a thread.
+  const std::shared_ptr<ManagedSession> managed = make_session(effective, token);
+  managed->search = managed->make_search();
 
   std::string id;
   {
@@ -225,7 +271,7 @@ std::string SessionManager::open(const OpenParams& params, const std::string& to
       for (auto& [existing_id, existing] : sessions_) {
         if (existing->token == token) {
           // Lost the race against a concurrent open with the same token.
-          managed->session.cancel();
+          managed->search->cancel();
           return existing_id;
         }
       }
@@ -234,13 +280,11 @@ std::string SessionManager::open(const OpenParams& params, const std::string& to
     // registration.
     consume_reservation_locked(params.tenant);
     reservation.committed = true;
-    if (!managed->tenant.empty()) ++tenant_live_[managed->tenant];
     // push_back+append sidesteps a GCC 12 -Wrestrict false positive
     // (PR105329) on assigning the concatenation temporary.
     id.push_back('s');
-    id += std::to_string(next_id_++);
-    sessions_.emplace_back(id, managed);
-    ++opened_;
+    id += std::to_string(next_id_);
+    adopt_locked(id, managed);
   }
   // Journal the open before the caller can observe the id: once the client
   // sees this session exist, a crash must not forget it. `effective`
@@ -301,17 +345,17 @@ std::optional<tuner::Configuration> SessionManager::ask(
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
     bool resume) {
   const std::shared_ptr<ManagedSession> managed = find_and_touch(id);
+  tuner::AskTellSession& search = materialize(id, *managed);
   if (resume) {
     // Reconnect path: if the proposal the client lost is still outstanding,
     // hand it out again instead of tripping kAskPending. Falls through to a
     // fresh ask when nothing is outstanding (the response the client lost
     // was a tell-ack, not an ask).
-    if (const auto config = managed->session.outstanding_config()) return config;
+    if (const auto config = search.outstanding_config()) return config;
   }
   try {
     // Blocks; manager mutex NOT held.
-    auto config = deadline ? managed->session.ask_until(*deadline)
-                           : managed->session.ask();
+    auto config = deadline ? search.ask_until(*deadline) : search.ask();
     repro::MutexLock lock(mutex_);
     ++asks_total_;
     managed->orphan_proposal = false;
@@ -330,6 +374,7 @@ SessionManager::TellAck SessionManager::tell(const std::string& id,
                                              const tuner::Evaluation& evaluation,
                                              std::uint64_t seq) {
   const std::shared_ptr<ManagedSession> managed = find_and_touch(id);
+  tuner::AskTellSession& search = materialize(id, *managed);
   // In-flight tell quota: an executing tell pins a connection thread through
   // the WAL fsync and the standby's ack; bound what one tenant may pin.
   // Charged before the duplicate check (a retry storm is load too).
@@ -340,9 +385,9 @@ SessionManager::TellAck SessionManager::tell(const std::string& id,
       if (manager != nullptr) manager->end_inflight_tell(*tenant);
     }
   } credit;
-  if (begin_inflight_tell(managed->tenant)) {
+  if (begin_inflight_tell(managed->open.tenant)) {
     credit.manager = this;
-    credit.tenant = &managed->tenant;
+    credit.tenant = &managed->open.tenant;
   }
   bool orphan = false;
   if (seq != 0) {
@@ -352,8 +397,8 @@ SessionManager::TellAck SessionManager::tell(const std::string& id,
       // Retried frame whose first delivery was applied but whose ack was
       // lost. Acknowledge without re-applying.
       ++duplicate_tells_;
-      const std::size_t told = managed->session.tells();
-      const std::size_t budget = managed->session.budget();
+      const std::size_t told = search.tells();
+      const std::size_t budget = search.budget();
       return TellAck{told >= budget ? 0 : budget - told, true};
     }
     if (seq != managed->applied_seq + 1) {
@@ -365,28 +410,27 @@ SessionManager::TellAck SessionManager::tell(const std::string& id,
   }
   // Snapshot the proposal being answered before tell() clears it — it is
   // journaled alongside the measurement as a replay integrity check.
-  std::optional<tuner::Configuration> config =
-      managed->session.outstanding_config();
+  std::optional<tuner::Configuration> config = search.outstanding_config();
   try {
-    managed->session.tell(evaluation);
+    search.tell(evaluation);
   } catch (const tuner::TellMismatchError& error) {
     if (seq == 0 || !orphan)
       throw ProtocolError(ErrorCode::kNoAskOutstanding, error.what());
     // Failover race: the proposal this seq answers was handed out by a
     // previous incarnation that died before the tell arrived (a promoted
-    // standby's replica sessions hold no outstanding ask; a recovered
+    // standby's followed sessions hold no outstanding ask; a recovered
     // primary's replayed sessions don't either). The orphan flag proved
     // no ask left THIS incarnation, the seq gate proved this is the next
     // unapplied measurement, and the deterministic search re-proposes
     // exactly the configuration the client evaluated — ask here and apply
     // the retried tell to it.
     try {
-      config = managed->session.ask();
+      config = search.ask();
       if (!config)
         throw ProtocolError(ErrorCode::kNoAskOutstanding,
                             "retried tell " + std::to_string(seq) +
                                 " arrived after the search finished");
-      managed->session.tell(evaluation);
+      search.tell(evaluation);
     } catch (const tuner::AskPendingError& inner) {
       throw ProtocolError(ErrorCode::kAskPending, inner.what());
     } catch (const tuner::TellMismatchError& inner) {
@@ -425,8 +469,8 @@ SessionManager::TellAck SessionManager::tell(const std::string& id,
     (void)shipper_->ship_tell(id, applied, config.value_or(tuner::Configuration{}),
                               evaluation);
   }
-  const std::size_t told = managed->session.tells();
-  const std::size_t budget = managed->session.budget();
+  const std::size_t told = search.tells();
+  const std::size_t budget = search.budget();
   return TellAck{told >= budget ? 0 : budget - told, false};
 }
 
@@ -434,11 +478,11 @@ SessionManager::ResultPayload SessionManager::result(
     const std::string& id,
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   const std::shared_ptr<ManagedSession> managed = find_and_touch(id);
+  tuner::AskTellSession& search = materialize(id, *managed);
   ResultPayload payload;
   try {
     // Blocks until finished; manager mutex NOT held.
-    payload.result = deadline ? managed->session.result_until(*deadline)
-                              : managed->session.result();
+    payload.result = deadline ? search.result_until(*deadline) : search.result();
   } catch (const tuner::DeadlineExceeded& error) {
     throw ProtocolError(ErrorCode::kDeadlineExceeded, error.what());
   } catch (const tuner::SessionCancelled&) {
@@ -448,7 +492,7 @@ SessionManager::ResultPayload SessionManager::result(
     throw ProtocolError(ErrorCode::kInternal,
                         std::string("search thread failed: ") + error.what());
   }
-  payload.counters = managed->session.counters();
+  payload.counters = search.counters();
   return payload;
 }
 
@@ -456,13 +500,9 @@ void SessionManager::close(const std::string& id) {
   std::shared_ptr<ManagedSession> managed;
   {
     repro::MutexLock lock(mutex_);
-    const auto it = std::find_if(sessions_.begin(), sessions_.end(),
-                                 [&](const auto& entry) { return entry.first == id; });
-    if (it == sessions_.end()) throw_missing(id);
-    managed = std::move(it->second);
-    sessions_.erase(it);
+    managed = take_locked(id);
+    if (managed == nullptr) throw_missing(id);
     ++closed_;
-    note_removed_locked(*managed);
   }
   // Terminal record then unlink: if the crash lands between the two,
   // recovery sees the close record and finishes the unlink.
@@ -478,7 +518,7 @@ void SessionManager::close(const std::string& id) {
   if (shipper_ != nullptr) (void)shipper_->ship_close(id);
   // Cancel + destroy outside the lock: the session destructor joins the
   // search thread, which may need a moment to observe the cancel.
-  managed->session.cancel();
+  managed->cancel();
   log_debug("session {} closed", id);
 }
 
@@ -486,7 +526,7 @@ std::size_t SessionManager::evict_idle() {
   if (limits_.idle_timeout.count() <= 0) return 0;
   // Idle-eviction bookkeeping; never feeds tuning results.
   const auto now = std::chrono::steady_clock::now();  // NOLINT(reprolint-wall-clock)
-  std::vector<std::pair<std::string, std::shared_ptr<ManagedSession>>> victims;
+  Registry victims;
   {
     repro::MutexLock lock(mutex_);
     for (auto it = sessions_.begin(); it != sessions_.end();) {
@@ -494,7 +534,7 @@ std::size_t SessionManager::evict_idle() {
           now - it->second->last_activity);
       if (idle > limits_.idle_timeout) {
         add_tombstone(it->first);
-        credit_tenant_locked(it->second->tenant);
+        credit_tenant_locked(it->second->open.tenant);
         victims.emplace_back(std::move(*it));
         it = sessions_.erase(it);
       } else {
@@ -507,99 +547,47 @@ std::size_t SessionManager::evict_idle() {
     if (!victims.empty()) drain_admission_locked();
   }
   for (auto& [id, managed] : victims) {
-    // Persist the eviction: the journal stays behind as a tombstone so a
-    // restarted daemon reports kSessionEvicted instead of resurrecting a
-    // session the policy already reaped.
-    if (managed->wal != nullptr && !managed->wal->append_evicted()) {
-      repro::MutexLock lock(mutex_);
-      ++wal_errors_;
-    }
-    if (shipper_ != nullptr) (void)shipper_->ship_evict(id);
-    managed->session.cancel();
+    retire_evicted(id, *managed);
     log_info("session {} evicted after {}ms idle", id,
              limits_.idle_timeout.count());
   }
   return victims.size();
 }
 
-std::shared_ptr<SessionManager::ManagedSession> SessionManager::register_session(
-    const std::string& id, const OpenParams& params, const std::string& token) {
-  {
+void SessionManager::retire_evicted(const std::string& id, ManagedSession& managed) {
+  // Persist the eviction: the journal stays behind as a tombstone so a
+  // restarted daemon reports kSessionEvicted instead of resurrecting a
+  // session the policy already reaped.
+  if (managed.wal != nullptr && !managed.wal->append_evicted()) {
     repro::MutexLock lock(mutex_);
-    for (auto& [key, existing] : sessions_) {
-      if (key == id) return nullptr;  // already live: idempotent re-delivery
-    }
-    // Replica/recovery opens bypass tenant quotas (the primary already
-    // admitted them; refusing here would diverge the replica) but respect
-    // the global cap, counting client opens' outstanding reservations.
-    if (sessions_.size() + reserved_ >= limits_.max_sessions) {
-      throw ProtocolError(ErrorCode::kRetryLater,
-                          "session limit reached (" +
-                              std::to_string(limits_.max_sessions) + ")",
-                          limits_.retry_after_ms);
-    }
+    ++wal_errors_;
   }
-  std::unique_ptr<tuner::SearchAlgorithm> algorithm;
-  try {
-    // Replica/recovery path: the prior snapshot (if any) is the one the
-    // primary journaled — never re-derived here.
-    algorithm = tuner::make_algorithm(params.algorithm, params.prior);
-  } catch (const std::out_of_range&) {
-    throw ProtocolError(ErrorCode::kBadRequest,
-                        "unknown algorithm: " + params.algorithm);
-  }
-  tuner::ParamSpace space = params.make_space();
-  auto managed = std::make_shared<ManagedSession>(
-      std::move(space), std::move(algorithm), params.budget, params.seed,
-      params.retry);
-  // Idle-eviction bookkeeping; never feeds tuning results.
-  managed->last_activity = std::chrono::steady_clock::now();  // NOLINT(reprolint-wall-clock)
-  managed->token = token;
-  managed->tenant = params.tenant;
-  bind_store_tenant(*managed, params);
-  {
-    repro::MutexLock lock(mutex_);
-    for (auto& [key, existing] : sessions_) {
-      if (key == id) {
-        // Lost a race against a concurrent delivery of the same record.
-        managed->session.cancel();
-        return nullptr;
-      }
-    }
-    if (sessions_.size() + reserved_ >= limits_.max_sessions) {
-      managed->session.cancel();
-      throw ProtocolError(ErrorCode::kRetryLater,
-                          "session limit reached (" +
-                              std::to_string(limits_.max_sessions) + ")",
-                          limits_.retry_after_ms);
-    }
-    if (!managed->tenant.empty()) ++tenant_live_[managed->tenant];
-    sessions_.emplace_back(id, managed);
-    ++opened_;
-    // Keep locally-minted ids clear of the adopted one ("s<N>" scheme).
-    if (id.size() > 1 && id[0] == 's') {
-      try {
-        next_id_ = std::max<std::uint64_t>(next_id_, std::stoull(id.substr(1)) + 1);
-      } catch (const std::exception&) {
-        // Foreign id scheme; fresh ids cannot collide with it.
-      }
-    }
-  }
-  return managed;
+  if (shipper_ != nullptr) (void)shipper_->ship_evict(id);
+  managed.cancel();
 }
 
-void SessionManager::open_replica(const std::string& id, const OpenParams& params,
-                                  const std::string& token) {
-  const std::shared_ptr<ManagedSession> managed = register_session(id, params, token);
-  if (managed == nullptr) return;  // duplicate ship_open: already applied
+void SessionManager::follow_open(const std::string& id, const OpenParams& params,
+                                 const std::string& token) {
+  const std::shared_ptr<ManagedSession> managed = make_session(params, token);
+  // Held until the journal exists: a follow_tell of this session waits.
+  repro::MutexLock replay_lock(managed->replay_mutex);
   {
-    // Replica sessions never serve asks; if this one ever faces a client
-    // (promotion), its outstanding proposal lives on the deposed primary.
     repro::MutexLock lock(mutex_);
-    managed->orphan_proposal = true;
+    for (const auto& entry : sessions_) {
+      if (entry.first == id) return;  // duplicate ship_open: already followed
+    }
+    // Followed opens bypass tenant quotas (the primary already admitted
+    // them; refusing here would diverge the standby) but respect the global
+    // cap, counting client opens' outstanding reservations.
+    if (sessions_.size() + reserved_ >= limits_.max_sessions) {
+      throw ProtocolError(ErrorCode::kRetryLater,
+                          "session limit reached (" +
+                              std::to_string(limits_.max_sessions) + ")",
+                          limits_.retry_after_ms);
+    }
+    adopt_locked(id, managed);
   }
-  // The replica journals too: a follower crash (or a promoted follower's
-  // later crash) recovers through the ordinary recover() path.
+  // The journal a restarted follower indexes and a first touch replays.
   if (!limits_.state_dir.empty()) {
     managed->wal =
         SessionWal::create(wal_path(limits_.state_dir, id), id, token, params);
@@ -608,23 +596,34 @@ void SessionManager::open_replica(const std::string& id, const OpenParams& param
       ++wal_errors_;
     }
   }
-  log_debug("replica session {} opened: {} budget={} seed={}", id,
+  log_debug("followed session {} opened: {} budget={} seed={}", id,
             params.algorithm, params.budget, params.seed);
 }
 
-SessionManager::TellAck SessionManager::apply_replica_tell(
+SessionManager::TellAck SessionManager::follow_tell(
     const std::string& id, std::uint64_t seq, const tuner::Configuration& config,
     const tuner::Evaluation& evaluation) {
   const std::shared_ptr<ManagedSession> managed = find_and_touch(id);
+  // Serialized with a first-touch replay of this session: a record journaled
+  // after its search was built would never reach the search.
+  repro::MutexLock replay_lock(managed->replay_mutex);
+  if (managed->search != nullptr) {
+    throw ProtocolError(ErrorCode::kWrongRole,
+                        "session " + id + " is served by this daemon since its "
+                        "promotion; ship_tell belongs on a standby");
+  }
+  const auto ack = [&](bool duplicate) {
+    const std::size_t told = managed->unreplayed.size(), budget = managed->open.budget;
+    return TellAck{told >= budget ? 0 : budget - told, duplicate};
+  };
+  std::uint64_t applied = 0;
   {
     repro::MutexLock lock(mutex_);
     if (seq != 0 && seq <= managed->applied_seq) {
       // Resync re-ships whole journals; records at or below the watermark
-      // were applied by an earlier delivery.
+      // were journaled by an earlier delivery.
       ++duplicate_tells_;
-      const std::size_t told = managed->session.tells();
-      const std::size_t budget = managed->session.budget();
-      return TellAck{told >= budget ? 0 : budget - told, true};
+      return ack(true);
     }
     if (seq != 0 && seq != managed->applied_seq + 1) {
       throw ProtocolError(ErrorCode::kBadRequest,
@@ -632,35 +631,14 @@ SessionManager::TellAck SessionManager::apply_replica_tell(
                               ", expected " +
                               std::to_string(managed->applied_seq + 1));
     }
+    applied = seq != 0 ? seq : managed->applied_seq + 1;
   }
-  // The replay step recover() performs per journal record, done live: the
-  // deterministic search must re-propose exactly the shipped config, or
-  // this replica does not mirror the primary and must refuse the record.
-  std::optional<tuner::Configuration> proposal;
-  try {
-    proposal = managed->session.ask();
-  } catch (const tuner::AskPendingError&) {
-    proposal = managed->session.outstanding_config();
-  } catch (const tuner::SessionCancelled&) {
-    throw ProtocolError(ErrorCode::kSessionClosed,
-                        "replica session " + id + " was cancelled");
-  }
-  if (!proposal || *proposal != config) {
+  // The follower runs no search, so the echo check waits for the replay at
+  // first touch; a config the space cannot hold is refused now.
+  if (!managed->space.in_range(config)) {
     throw ProtocolError(ErrorCode::kBadRequest,
-                        "replica diverged from shipped record at seq " +
-                            std::to_string(seq));
-  }
-  try {
-    managed->session.tell(evaluation);
-  } catch (const tuner::TellMismatchError& error) {
-    throw ProtocolError(ErrorCode::kNoAskOutstanding, error.what());
-  }
-  std::uint64_t applied = 0;
-  {
-    repro::MutexLock lock(mutex_);
-    applied = managed->applied_seq = seq != 0 ? seq : managed->applied_seq + 1;
-    ++tells_total_;
-    tallies_.count(evaluation.status);
+                        "ship_tell seq " + std::to_string(applied) +
+                            ": config outside the session's space");
   }
   // Same durability barrier as the primary: the ship ack must not leave
   // before this record is on the follower's disk.
@@ -671,12 +649,15 @@ SessionManager::TellAck SessionManager::apply_replica_tell(
   // The standby's own results store gets the record too: a promoted shard
   // must warm-start future tenants exactly like the primary it replaces.
   store_append(*managed, config, evaluation);
-  const std::size_t told = managed->session.tells();
-  const std::size_t budget = managed->session.budget();
-  return TellAck{told >= budget ? 0 : budget - told, false};
+  repro::MutexLock lock(mutex_);
+  managed->applied_seq = applied;
+  managed->unreplayed.push_back(WalTell{applied, config, evaluation});
+  ++tells_total_;
+  tallies_.count(evaluation.status);
+  return ack(false);
 }
 
-void SessionManager::close_replica(const std::string& id) {
+void SessionManager::follow_close(const std::string& id) {
   try {
     close(id);
   } catch (const ProtocolError&) {
@@ -685,25 +666,17 @@ void SessionManager::close_replica(const std::string& id) {
   }
 }
 
-void SessionManager::evict_replica(const std::string& id) {
+void SessionManager::follow_evict(const std::string& id) {
   std::shared_ptr<ManagedSession> managed;
   {
     repro::MutexLock lock(mutex_);
-    const auto it = std::find_if(sessions_.begin(), sessions_.end(),
-                                 [&](const auto& entry) { return entry.first == id; });
     add_tombstone(id);
-    if (it == sessions_.end()) return;  // duplicate delivery
-    managed = std::move(it->second);
-    sessions_.erase(it);
+    managed = take_locked(id);
+    if (managed == nullptr) return;  // duplicate delivery
     ++evicted_;
-    note_removed_locked(*managed);
   }
-  if (managed->wal != nullptr && !managed->wal->append_evicted()) {
-    repro::MutexLock lock(mutex_);
-    ++wal_errors_;
-  }
-  managed->session.cancel();
-  log_debug("replica session {} evicted (shipped record)", id);
+  retire_evicted(id, *managed);
+  log_debug("followed session {} evicted (shipped record)", id);
 }
 
 void SessionManager::connect_shipper() {
@@ -822,7 +795,7 @@ void SessionManager::credit_tenant_locked(const std::string& tenant) {
 }
 
 void SessionManager::note_removed_locked(const ManagedSession& managed) {
-  credit_tenant_locked(managed.tenant);
+  credit_tenant_locked(managed.open.tenant);
   drain_admission_locked();
 }
 
@@ -915,15 +888,7 @@ std::size_t SessionManager::demote_reset() {
   // Stop replicating first: a deposed primary must never ship its divergent
   // tail anywhere (also clears the fence so a later reseed can retarget).
   if (shipper_ != nullptr) shipper_->retarget("", 0);
-  std::vector<std::pair<std::string, std::shared_ptr<ManagedSession>>> victims;
-  {
-    repro::MutexLock lock(mutex_);
-    victims.swap(sessions_);
-    closed_ += victims.size();
-    tenant_live_.clear();
-    tombstones_.clear();
-    flush_admission_locked();
-  }
+  const auto victims = take_all(/*forget_tombstones=*/true);
   for (auto& [id, managed] : victims) {
     // These journals are the divergent tail the new primary never
     // acknowledged. Keeping them would resurrect zombie sessions on the
@@ -934,7 +899,7 @@ std::size_t SessionManager::demote_reset() {
       managed->wal.reset();
       (void)::unlink(path.c_str());
     }
-    managed->session.cancel();
+    managed->cancel();
   }
   // Sweep journals no live session owned (eviction tombstones, journals
   // recovery could not replay): the rejoining standby starts clean.
@@ -955,22 +920,24 @@ std::size_t SessionManager::demote_reset() {
   return victims.size();
 }
 
+SessionManager::Registry SessionManager::take_all(bool forget_tombstones) {
+  Registry victims;
+  repro::MutexLock lock(mutex_);
+  victims.swap(sessions_);
+  closed_ += victims.size();
+  tenant_live_.clear();
+  if (forget_tombstones) tombstones_.clear();
+  // Queued opens wake into retry_later: there is no slot coming.
+  flush_admission_locked();
+  return victims;
+}
+
 void SessionManager::cancel_all() {
-  std::vector<std::pair<std::string, std::shared_ptr<ManagedSession>>> victims;
-  {
-    repro::MutexLock lock(mutex_);
-    victims.swap(sessions_);
-    closed_ += victims.size();
-    tenant_live_.clear();
-    // Queued opens wake into retry_later: the daemon is going away, there
-    // is no slot coming.
-    flush_admission_locked();
-  }
   // No terminal journal records here — an abandoned live journal is exactly
   // what recover() resurrects, so shutdown-with-live-sessions behaves like
   // a crash (by design: the daemon stopping is not the client giving up).
-  for (auto& [id, managed] : victims) managed->session.cancel();
-  // Destruction (thread joins) happens as `victims` goes out of scope.
+  // Destruction (thread joins) happens as the victims go out of scope.
+  for (auto& [id, managed] : take_all(/*forget_tombstones=*/false)) managed->cancel();
 }
 
 std::size_t SessionManager::live() const {
@@ -1032,7 +999,7 @@ StatusReport SessionManager::status() const {
     }
   }
   for (const auto& [id, managed] : sessions_) {
-    if (managed->session.finished()) ++report.finished;
+    if (managed->search != nullptr && managed->search->finished()) ++report.finished;
   }
   return report;
 }
@@ -1046,11 +1013,16 @@ std::vector<SessionInfo> SessionManager::sessions() const {
   for (const auto& [id, managed] : sessions_) {
     SessionInfo info;
     info.id = id;
-    info.algorithm = managed->session.algorithm_name();
-    info.budget = managed->session.budget();
-    info.asks = managed->session.asks();
-    info.tells = managed->session.tells();
-    info.finished = managed->session.finished();
+    info.algorithm = managed->algorithm_name;
+    info.budget = managed->open.budget;
+    if (managed->search != nullptr) {
+      info.asks = managed->search->asks();
+      info.tells = managed->search->tells();
+      info.finished = managed->search->finished();
+    } else {
+      // No search yet: the journal's view of a followed session.
+      info.asks = info.tells = managed->unreplayed.size();
+    }
     info.idle = std::chrono::duration_cast<std::chrono::milliseconds>(
         now - managed->last_activity);
     infos.push_back(std::move(info));

@@ -18,10 +18,11 @@
 // Durability (SessionLimits::state_dir non-empty): every session journals
 // its open parameters and each applied tell to a per-session fsync'd WAL
 // (service/session_wal.hpp) *before* the acknowledging response leaves the
-// daemon. recover() replays surviving journals through fresh
-// AskTellSessions — deterministic search means replay reconstructs the
-// exact pre-crash state, RNG stream included. Tell idempotency (per-session
-// monotonic seq) makes the recovery window safe for retrying clients.
+// daemon. replay() rebuilds a session through a fresh AskTellSession —
+// deterministic search means replay reconstructs the exact pre-crash state,
+// RNG stream included. Tell idempotency (per-session monotonic seq) makes
+// the recovery window safe for retrying clients. A hot standby only
+// journals (follow_*); a promoted session replays at its first touch.
 //
 // Admission control: opening past max_sessions answers the retryable
 // kRetryLater (with SessionLimits::retry_after_ms as the backoff hint)
@@ -98,10 +99,10 @@ struct SessionLimits {
   TenantQuotas quotas;
 };
 
-/// What recover() found in the state dir at startup.
+/// What recover() found in the state dir at startup, plus first touches.
 struct RecoveryStats {
-  std::size_t sessions_recovered = 0;  ///< live journals replayed successfully
-  std::size_t tells_replayed = 0;
+  std::size_t sessions_recovered = 0;  ///< live journals replayed or indexed
+  std::size_t tells_replayed = 0;      ///< tells replayed through a search
   std::size_t sessions_failed = 0;  ///< unreadable/diverged journals (lost)
   std::size_t torn_tails = 0;       ///< journals whose final record was dropped
   std::size_t closed_discarded = 0;  ///< clean close record, journal deleted
@@ -180,10 +181,12 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Replay journals left in limits_.state_dir by a previous process. Call
-  /// once, before serving requests. No-op without a state dir; throws
-  /// std::runtime_error when the state dir is unusable.
-  RecoveryStats recover();
+  /// Restore the sessions a previous process journaled in
+  /// limits_.state_dir. Call once, before serving requests. A primary
+  /// replays them at once, so divergence is found before it listens; a
+  /// `follower` only indexes them (each replays at first touch). No-op
+  /// without a state dir; throws std::runtime_error when it is unusable.
+  RecoveryStats recover(bool follower = false);
 
   /// Throws ProtocolError (kRetryLater at the session cap, kBadRequest for
   /// an unknown algorithm or bad space). Returns the new session id. A
@@ -196,7 +199,8 @@ class SessionManager {
   /// (nullopt). Throws ProtocolError kUnknownSession / kSessionEvicted /
   /// kAskPending / kSessionClosed / kDeadlineExceeded. `resume` re-fetches
   /// an already-outstanding proposal (reconnect path) instead of tripping
-  /// kAskPending.
+  /// kAskPending. A first touch replays the journal first (see
+  /// materialize()); `deadline` bounds only the ask after it.
   [[nodiscard]] std::optional<tuner::Configuration> ask(
       const std::string& id,
       const std::optional<std::chrono::steady_clock::time_point>& deadline =
@@ -241,33 +245,26 @@ class SessionManager {
   /// recovered — not lost — on the next start.
   void cancel_all();
 
-  // --- standby (replica) apply path ----------------------------------------
-  // These are the receiving half of WAL shipping: a follower daemon applies
-  // shipped records through them. Each is idempotent against duplicate
-  // delivery (resync re-ships whole journals), appends to the follower's own
-  // journal before returning, and reuses the exact replay machinery of
-  // recover() — the session state a standby holds is byte-identical to the
-  // primary's.
+  // --- standby (follower) path ---------------------------------------------
+  // A follower journals shipped records (fsync'd before returning) and
+  // builds no search; every call tolerates duplicate delivery (resync).
 
-  /// Apply a shipped open: create the session under the *primary's* id.
-  /// Re-delivery of a known id is acknowledged idempotently. Throws
-  /// ProtocolError kBadRequest on an unknown algorithm/space and
-  /// kRetryLater at the session cap.
-  void open_replica(const std::string& id, const OpenParams& params,
-                    const std::string& token);
+  /// Register a shipped open under the *primary's* id. Throws kBadRequest
+  /// on an unknown algorithm/space and kRetryLater at the session cap.
+  void follow_open(const std::string& id, const OpenParams& params,
+                   const std::string& token);
 
-  /// Apply a shipped tell: ask the live session for its next proposal,
-  /// verify it matches the shipped config (divergence = kBadRequest: the
-  /// replica does not mirror the primary and must not pretend to), then
-  /// tell. seq at or below the applied watermark is acked as duplicate.
-  TellAck apply_replica_tell(const std::string& id, std::uint64_t seq,
-                             const tuner::Configuration& config,
-                             const tuner::Evaluation& evaluation);
+  /// Journal a shipped tell and append its store row. A seq at or below the
+  /// watermark is acked as duplicate; a seq gap or a config outside the
+  /// space is kBadRequest; a session this daemon serves is kWrongRole.
+  TellAck follow_tell(const std::string& id, std::uint64_t seq,
+                      const tuner::Configuration& config,
+                      const tuner::Evaluation& evaluation);
 
-  /// Apply a shipped close/evict terminal record. Both tolerate an unknown
-  /// id (duplicate delivery after the first already removed the session).
-  void close_replica(const std::string& id);
-  void evict_replica(const std::string& id);
+  /// Shipped close/evict terminal records. Both tolerate an unknown id
+  /// (duplicate delivery after the first already removed the session).
+  void follow_close(const std::string& id);
+  void follow_evict(const std::string& id);
 
   /// Attempt the first follower connection (+ resync) eagerly so `status`
   /// reflects replication health immediately. No-op without ship config.
@@ -308,55 +305,84 @@ class SessionManager {
   [[nodiscard]] const SessionLimits& limits() const noexcept { return limits_; }
 
  private:
-  /// Space + session bundle: the space must outlive the AskTellSession that
-  /// references it, hence declaration order.
+  /// One registered session. open() and a primary's recover() build its
+  /// search at once; a followed session gets it at first touch.
   struct ManagedSession {
-    ManagedSession(tuner::ParamSpace space_in,
-                   std::unique_ptr<tuner::SearchAlgorithm> algorithm,
-                   std::size_t budget, std::uint64_t seed, tuner::RetryPolicy retry)
-        : space(std::move(space_in)),
-          session(space, std::move(algorithm), budget, seed, retry) {}
+    ManagedSession(OpenParams params, tuner::ParamSpace space_in,
+                   std::unique_ptr<tuner::SearchAlgorithm> algorithm_in, std::string token_in)
+        : open(std::move(params)), space(std::move(space_in)),
+          algorithm_name(algorithm_in->name()), algorithm(std::move(algorithm_in)),
+          token(std::move(token_in)) {}
 
-    tuner::ParamSpace space;
-    tuner::AskTellSession session;
-    /// Open-idempotency token ("" = none). Immutable once registered.
-    std::string token;
-    /// Quota identity from the open ("" = anonymous). Immutable once
-    /// registered; every removal path credits it back to the tenant.
-    std::string tenant;
-    /// Results-store tenancy (immutable once registered): store_enabled is
-    /// set when the open declared a (benchmark, arch) and a store is
-    /// attached; store_key is the tenant every applied tell feeds.
-    bool store_enabled = false;
-    store::StoreKey store_key;
+    /// The search over the open parameters; takes `algorithm`.
+    [[nodiscard]] std::unique_ptr<tuner::AskTellSession> make_search() {
+      return std::make_unique<tuner::AskTellSession>(space, std::move(algorithm),
+                                                     open.budget, open.seed, open.retry);
+    }
+    /// Cancel the search, if any; waits out a replay in flight.
+    void cancel() {
+      repro::MutexLock replay_lock(replay_mutex);
+      if (search != nullptr) search->cancel();
+    }
+
+    /// As journaled (warm-start prior included). open.tenant is the quota
+    /// identity ("" = anonymous); every removal path credits it back.
+    const OpenParams open;
+    const tuner::ParamSpace space;  ///< outlives `search`, which references it
+    const std::string algorithm_name;  ///< display name ("BO GP")
+    std::unique_ptr<tuner::SearchAlgorithm> algorithm;  ///< until make_search()
+    const std::string token;  ///< open-idempotency token ("" = none)
+    /// The store tenant every applied tell feeds; empty unless the open
+    /// declared a (benchmark, arch) and a store is attached.
+    std::optional<store::StoreKey> store_key;
     /// Journal; null when durability is off or the journal died on an IO
     /// error. Appends are serialized by the per-session client protocol.
     std::unique_ptr<SessionWal> wal;
+    /// Serializes the first-touch replay with a follow_tell in flight and
+    /// other first-touch ops.
+    repro::Mutex replay_mutex;
     /// The fields below are written only while the owning manager's mutex_
-    /// is held (the analysis cannot express a guard that lives in another
-    /// object, so this is a documented convention rather than a GUARDED_BY).
+    /// is held — `search` and `unreplayed` with replay_mutex too, so either
+    /// lock suffices to read them (the analysis cannot express a guard that
+    /// lives in another object, so this is a convention, not GUARDED_BY).
+    std::unique_ptr<tuner::AskTellSession> search;
+    std::vector<WalTell> unreplayed;  ///< journaled, not yet replayed
     std::chrono::steady_clock::time_point last_activity;
     /// Highest tell seq applied (idempotency watermark).
     std::uint64_t applied_seq = 0;
     /// True while the proposal a client may be answering was handed out by
     /// a previous incarnation (journal replay) or by the deposed primary
-    /// (replica sessions never serve asks). Gates the tell re-ask amnesty;
-    /// cleared the moment this incarnation serves the session a client op.
+    /// (a followed session never serves asks). Gates the tell re-ask
+    /// amnesty; cleared the moment this incarnation serves a client op.
     bool orphan_proposal = false;
   };
 
   [[nodiscard]] std::shared_ptr<ManagedSession> find_and_touch(const std::string& id);
-  /// Fill a session's store tenancy fields from its open params.
-  void bind_store_tenant(ManagedSession& managed, const OpenParams& params) const;
   /// Append one applied tell to the results store (no-op when the session
   /// has no tenant). Store failures degrade (counted), never fail the tell.
   void store_append(const ManagedSession& managed, const tuner::Configuration& config,
                     const tuner::Evaluation& evaluation);
-  /// Construct + register a session under a caller-chosen id (replica /
-  /// recovery path). Returns nullptr when the id is already live.
-  std::shared_ptr<ManagedSession> register_session(const std::string& id,
-                                                   const OpenParams& params,
-                                                   const std::string& token);
+  /// The one session constructor (no search yet); kBadRequest for an
+  /// unknown algorithm or a bad space.
+  [[nodiscard]] std::shared_ptr<ManagedSession> make_session(const OpenParams& params,
+                                                             const std::string& token) const;
+  /// Register `managed` under `id` and keep fresh ids clear of it.
+  void adopt_locked(const std::string& id, std::shared_ptr<ManagedSession> managed)
+      REQUIRES(mutex_);
+  using Registry = std::vector<std::pair<std::string, std::shared_ptr<ManagedSession>>>;
+  /// Unregister `id` (nullptr when unknown) and credit its tenant.
+  std::shared_ptr<ManagedSession> take_locked(const std::string& id) REQUIRES(mutex_);
+  /// Unregister every session (shutdown/demote), flushing queued opens.
+  Registry take_all(bool forget_tombstones);
+  /// Journal and ship an unregistered session's eviction, then cancel it.
+  void retire_evicted(const std::string& id, ManagedSession& managed);
+  /// The one replay: build the search and replay the unreplayed tells,
+  /// checking each journaled config echo; marks the proposal orphaned.
+  /// Throws std::runtime_error naming the seq that diverges.
+  void replay(ManagedSession& managed);
+  /// The session's search, replayed at first touch. A diverged replay drops
+  /// the session as recover() does (failed, journal kept) and is kInternal.
+  tuner::AskTellSession& materialize(const std::string& id, ManagedSession& managed);
   /// Register an evicted id so later ops can be told the session was
   /// reaped (not "never existed"). Bounded FIFO. Requires mutex_.
   void add_tombstone(const std::string& id) REQUIRES(mutex_);
@@ -399,8 +425,7 @@ class SessionManager {
 
   const SessionLimits limits_;
   mutable repro::Mutex mutex_;
-  std::vector<std::pair<std::string, std::shared_ptr<ManagedSession>>> sessions_
-      GUARDED_BY(mutex_);
+  Registry sessions_ GUARDED_BY(mutex_);
   std::vector<std::string> tombstones_ GUARDED_BY(mutex_);
   std::uint64_t next_id_ GUARDED_BY(mutex_) = 1;
   std::size_t opened_ GUARDED_BY(mutex_) = 0;

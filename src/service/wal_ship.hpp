@@ -5,23 +5,21 @@
 // record (open / tell / close / evict) to a follower daemon over the
 // ordinary JSON-lines protocol (ops ship_open / ship_tell / ship_close /
 // ship_evict, advertised as the "cluster" hello feature). The follower
-// appends each record to its *own* fsync'd per-session journal and applies
-// it through an unmodified AskTellSession — deterministic search means the
-// standby holds the exact same session state as the primary, RNG stream
-// included. Promotion is therefore instant: a promoted standby just starts
-// answering normal session ops on sessions that are already live.
+// appends each record to its *own* fsync'd per-session journal and runs no
+// search: a promoted standby replays a session's journal at its first
+// touch (session_manager.hpp), so promotion itself replays nothing.
 //
 // Durability contract. A ship call is synchronous: the primary's tell ack
 // leaves only after (a) the local journal fsync and (b) the follower's ack
-// — and the follower acks only after its own fsync + apply. While the link
-// is up, an acknowledged tell exists on two disks and in two live
-// sessions, so a SIGKILL'd primary loses nothing. When the link is down
-// the primary keeps serving (availability over replication) and reports
-// itself degraded via `status`; every successful (re)connect first
-// re-ships all live journals from the state dir ("resync"), and the
-// follower acknowledges duplicates idempotently (per-session seq
-// watermark), so a follower that crashed, tore its journal tail, or missed
-// records while partitioned converges back to the primary's state.
+// — and the follower acks only after its own fsync. While the link is up,
+// an acknowledged tell exists on two disks, so a SIGKILL'd primary loses
+// nothing. When the link is down the primary keeps serving (availability
+// over replication) and reports itself degraded via `status`; every
+// successful (re)connect first re-ships all live journals from the state
+// dir ("resync"), and the follower acknowledges duplicates idempotently
+// (per-session seq watermark), so a follower that crashed, tore its journal
+// tail, or missed records while partitioned converges back to the
+// primary's state.
 //
 // Catch-up state machine. The link is one of:
 //

@@ -1,9 +1,10 @@
-// In-process hot-standby failover: WAL shipping keeps a follower's live
-// AskTellSessions in lockstep with the primary, promotion turns the
-// follower into a serving primary with zero lost acknowledged tells, and
-// the router re-routes idempotent ops across the swap. The headline loop
-// runs every paper algorithm through a mid-session primary crash and
-// requires a byte-identical result.
+// In-process hot-standby failover: WAL shipping keeps a follower's journals
+// in lockstep with the primary (the follower journals, it does not
+// search), promotion turns the follower into a serving primary with zero
+// lost acknowledged tells, each promoted session replays its journal at its
+// first touch, and the router re-routes idempotent ops across the swap. The
+// headline loop runs every paper algorithm through a mid-session primary
+// crash and requires a byte-identical result.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "service/router.hpp"
 #include "service/server.hpp"
+#include "service/session_wal.hpp"
 #include "tests/cluster/cluster_test_util.hpp"
 #include "tuner/registry.hpp"
 
@@ -63,8 +65,7 @@ TEST(Failover, AcknowledgedTellsAreLiveOnTheStandby) {
     ASSERT_TRUE(config.has_value());
     (void)client.tell(id, synth_eval(space, *config, 9));
   }
-  // Every acknowledged tell is already applied on the standby's live
-  // session — hot, not just journaled.
+  // Every acknowledged tell is already journaled on the standby's session.
   const StatusReport primary_status = pair.primary->sessions().status();
   EXPECT_TRUE(primary_status.ship_enabled);
   EXPECT_TRUE(primary_status.ship_connected);
@@ -155,6 +156,80 @@ TEST(Failover, ShipperResyncsAfterStandbyRestartAndAcksDuplicates) {
   EXPECT_GE(status.ship.resyncs, 2u);  // initial connect + reconnect
   EXPECT_GE(status.ship.duplicates_acked, 3u);
   EXPECT_EQ(pair.standby->sessions().status().tells, 5u);
+}
+
+TEST(Failover, StandbyFollowsWithoutSearchingAndCatchesDivergenceAtFirstTouch) {
+  const std::string dir = fresh_dir();
+  ServerConfig standby_config;
+  standby_config.standby = true;
+  standby_config.limits.state_dir = dir + "/standby";
+  TuneServer standby(standby_config);
+  standby.start();
+
+  // The config the session's search proposes first, from a plain run; the
+  // shipped record carries a different, in-range one.
+  const OpenParams params = tiny_open("rs", 8, 91);
+  tuner::Configuration shipped;
+  {
+    SessionManager plain;
+    const std::string id = plain.open(params);
+    const std::optional<tuner::Configuration> first = plain.ask(id);
+    ASSERT_TRUE(first.has_value());
+    shipped = *first;
+    shipped[0] = shipped[0] == 1 ? 2 : 1;
+  }
+  const tuner::ParamSpace space = params.make_space();
+  ASSERT_TRUE(space.in_range(shipped));
+
+  Client client(resilient_config(standby.port()));
+  client.connect();
+  Json open = Json::object();
+  open.set("op", "ship_open");
+  open.set("session", "s7");
+  open.set("open", encode_open(params));
+  (void)client.call(open);
+  const auto ship_tell = [&](std::uint64_t seq, const tuner::Configuration& config) {
+    Json tell = Json::object();
+    tell.set("op", "ship_tell");
+    tell.set("session", "s7");
+    tell.set("seq", seq);
+    tell.set("config", encode_config(config));
+    encode_evaluation_into(tell, synth_eval(space, shipped, 5));
+    return client.call(tell);
+  };
+  // The follower runs no search, so it cannot tell the record diverges: it
+  // journals and acks it.
+  EXPECT_TRUE(ship_tell(1, shipped).find("ok")->as_bool());
+  // A config the space cannot hold is still refused at ship time.
+  try {
+    (void)ship_tell(2, {99, 1, 0});
+    FAIL() << "an out-of-range config must be refused";
+  } catch (const ProtocolError& error) {
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+  }
+  const std::vector<SessionInfo> followed = standby.sessions().sessions();
+  ASSERT_EQ(followed.size(), 1u);
+  EXPECT_EQ(followed[0].tells, 1u);
+  EXPECT_EQ(followed[0].asks, 1u);
+  EXPECT_FALSE(followed[0].finished);
+
+  // The first touch after promotion replays the journal and finds the
+  // divergence: a typed error naming the seq, never a proposal.
+  const std::size_t failed_before = standby.sessions().status().recovery.sessions_failed;
+  standby.promote();
+  try {
+    (void)client.ask("s7");
+    FAIL() << "a diverged journal must not yield a proposal";
+  } catch (const ProtocolError& error) {
+    EXPECT_EQ(error.code, ErrorCode::kInternal);
+    EXPECT_NE(std::string(error.what()).find("seq 1"), std::string::npos) << error.what();
+  }
+  const StatusReport status = standby.sessions().status();
+  EXPECT_EQ(status.recovery.sessions_failed, failed_before + 1);
+  EXPECT_EQ(status.live_sessions, 0u);
+  // Dropped the way startup recovery drops it: the journal stays on disk.
+  EXPECT_EQ(list_session_wals(dir + "/standby").size(), 1u);
+  standby.stop();
 }
 
 TEST(Failover, RouterFailoverMidSessionIsByteIdenticalForEveryAlgorithm) {

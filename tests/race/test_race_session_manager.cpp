@@ -1,13 +1,17 @@
 // Race-stress tests for the service SessionManager: idle eviction racing
-// live open/ask/tell/close traffic, and the session-limit check racing
-// concurrent opens. Every operation either succeeds or surfaces a typed
-// ProtocolError — never a crash, hang, or corrupted counter. Run under the
-// `tsan` preset to surface lock-discipline bugs.
+// live open/ask/tell/close traffic, the session-limit check racing
+// concurrent opens, and the first-touch replay of followed sessions racing
+// concurrent asks and closes. Every operation either succeeds or surfaces a
+// typed ProtocolError — never a crash, hang, or corrupted counter. Run
+// under the `tsan` preset to surface lock-discipline bugs.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,6 +156,130 @@ TEST(RaceSessionManager, CancelAllRacesBlockedResult) {
   manager.cancel_all();
   caller.join();
   EXPECT_TRUE(ejected.load());
+}
+
+TEST(RaceSessionManager, FirstTouchAfterFollowReplaysOnce) {
+  // Each session is followed (ship_open plus shipped tells, no search), then
+  // first-touched by two threads at once — a plain ask and an ask with
+  // resume — while a third thread closes every third session.
+  const std::vector<std::string> algorithms = {"bogp", "rs", "ga", "botpe", "bogp", "rf"};
+  constexpr std::size_t kBudget = 14;
+  constexpr std::size_t kFollowed = 6;
+  // Closed sessions follow fewer tells, so a second replay of an open
+  // session cannot hide in their share of tells_replayed.
+  constexpr std::size_t kClosedFollowed = 5;
+  const auto closes = [](std::size_t i) { return i % 3 == 2; };
+  const tuner::ParamSpace space = tiny_space();
+  const std::uint64_t salt = seed_from_string("race-first-touch");
+
+  // Uninterrupted reference runs.
+  struct Run {
+    OpenParams params;
+    std::vector<tuner::Configuration> proposals;
+    tuner::TuneResult result;
+  };
+  std::vector<Run> runs(algorithms.size());
+  SessionManager reference;
+  for (std::size_t i = 0; i < algorithms.size(); ++i) {
+    runs[i].params = tiny_open(seed_combine(salt, i), kBudget);
+    runs[i].params.algorithm = algorithms[i];
+    const std::string id = reference.open(runs[i].params);
+    while (const auto config = reference.ask(id)) {
+      runs[i].proposals.push_back(*config);
+      (void)reference.tell(id, synth_eval(space, *config, salt), runs[i].proposals.size());
+    }
+    runs[i].result = reference.result(id).result;
+    reference.close(id);
+    ASSERT_GT(runs[i].proposals.size(), kFollowed) << algorithms[i];
+  }
+
+  SessionManager follower;
+  std::vector<std::string> ids;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    ids.push_back("s" + std::to_string(i + 1));
+    follower.follow_open(ids[i], runs[i].params, "");
+    const std::size_t followed = closes(i) ? kClosedFollowed : kFollowed;
+    for (std::size_t seq = 1; seq <= followed; ++seq) {
+      const tuner::Configuration& config = runs[i].proposals[seq - 1];
+      (void)follower.follow_tell(ids[i], seq, config, synth_eval(space, config, salt));
+    }
+  }
+
+  struct Touch {
+    std::optional<tuner::Configuration> config;
+    std::optional<ErrorCode> error;
+  };
+  std::vector<std::array<Touch, 2>> touches(runs.size());
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (std::size_t t = 0; t < 2; ++t) {
+      threads.emplace_back([&, i, t] {
+        while (!go.load()) std::this_thread::yield();
+        try {
+          touches[i][t].config = follower.ask(ids[i], std::nullopt, /*resume=*/t == 1);
+        } catch (const ProtocolError& error) {
+          touches[i][t].error = error.code;
+        }
+      });
+    }
+  }
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (closes(i)) follower.close(ids[i]);
+    }
+  });
+  go.store(true);
+  for (auto& thread : threads) thread.join();
+
+  std::size_t open_sessions = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (const Touch& touch : touches[i]) {
+      if (touch.error.has_value()) {
+        // The loser of the ask race sees the winner's outstanding proposal;
+        // a closed session may also be gone or cancelled under the op.
+        EXPECT_TRUE(*touch.error == ErrorCode::kAskPending ||
+                    (closes(i) && (*touch.error == ErrorCode::kUnknownSession ||
+                                   *touch.error == ErrorCode::kSessionClosed)))
+            << ids[i] << " error " << to_string(*touch.error);
+      } else if (!closes(i)) {
+        EXPECT_EQ(touch.config, runs[i].proposals[kFollowed]) << ids[i];
+      }
+    }
+    if (closes(i)) continue;
+    ++open_sessions;
+    ASSERT_TRUE(touches[i][0].config.has_value() || touches[i][1].config.has_value())
+        << ids[i];
+    // Finish on the follower; it must match the uninterrupted run exactly.
+    std::vector<tuner::Configuration> proposals(runs[i].proposals.begin(),
+                                                runs[i].proposals.begin() + kFollowed + 1);
+    std::uint64_t seq = kFollowed + 1;
+    (void)follower.tell(ids[i], synth_eval(space, proposals.back(), salt), seq++);
+    while (const auto config = follower.ask(ids[i])) {
+      proposals.push_back(*config);
+      (void)follower.tell(ids[i], synth_eval(space, *config, salt), seq++);
+    }
+    EXPECT_EQ(proposals, runs[i].proposals) << ids[i];
+    const tuner::TuneResult result = follower.result(ids[i]).result;
+    EXPECT_EQ(result.best_config, runs[i].result.best_config) << ids[i];
+    EXPECT_EQ(result.found_valid, runs[i].result.found_valid) << ids[i];
+    EXPECT_EQ(result.evaluations_used, runs[i].result.evaluations_used) << ids[i];
+    EXPECT_EQ(std::memcmp(&result.best_value, &runs[i].result.best_value, sizeof(double)), 0)
+        << ids[i];
+  }
+
+  // One replay per touched session: the open sessions' share is exact, and
+  // what is left is a whole number of closed sessions' journals.
+  const RecoveryStats recovery = follower.status().recovery;
+  EXPECT_EQ(recovery.sessions_failed, 0u);
+  const std::size_t open_share = kFollowed * open_sessions;
+  ASSERT_GE(recovery.tells_replayed, open_share);
+  const std::size_t closed_share = recovery.tells_replayed - open_share;
+  EXPECT_EQ(closed_share % kClosedFollowed, 0u) << recovery.tells_replayed;
+  EXPECT_LE(closed_share, kClosedFollowed * (runs.size() - open_sessions))
+      << recovery.tells_replayed;
+  follower.cancel_all();
 }
 
 }  // namespace

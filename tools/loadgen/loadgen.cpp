@@ -118,9 +118,7 @@ std::string json_number(double value) {
   return buffer;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("loadgen",
           "drive a replicated tuned shard behind tunelb and report "
           "throughput, ask/tell latency percentiles, and (with --failover) "
@@ -156,7 +154,7 @@ int main(int argc, char** argv) {
   const std::size_t budget = static_cast<std::size_t>(cli.get_int("budget"));
   const bool failover = cli.get_flag("failover");
   const std::string out_path = cli.get("out");
-  const double arrival_rate = std::strtod(cli.get("arrival-rate").c_str(), nullptr);
+  const double arrival_rate = cli.get_double("arrival-rate");
   const bool open_loop = arrival_rate > 0.0;
   const std::size_t tenants =
       std::max<std::size_t>(1, static_cast<std::size_t>(cli.get_int("tenants")));
@@ -568,3 +566,7 @@ int main(int argc, char** argv) {
   standby.stop();
   return merged.errors == 0 && split_errors == 0 ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return repro::run_cli(argc, argv, run, 2); }
