@@ -49,9 +49,9 @@ struct Options {
   std::string check;    // baseline file for regression comparison
 };
 
-const char* const kSuites[] = {"micro_gp",      "micro_tuners",  "micro_simulator",
-                               "micro_simd",    "micro_service", "micro_wal",
-                               "micro_store",   "micro_cluster", "micro_lint"};
+const char* const kSuites[] = {"micro_gp",      "micro_tuners", "micro_simulator",
+                               "micro_service", "micro_wal",    "micro_store",
+                               "micro_cluster", "micro_lint"};
 
 /// Minimal structural validation: a google-benchmark report must be a
 /// balanced object that contains a "benchmarks" array. Brace balancing

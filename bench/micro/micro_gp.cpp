@@ -85,49 +85,6 @@ void BM_GpPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GpPredict)->Arg(25)->Arg(100)->Arg(200)->Complexity();
 
-// Large-history scaling: n = 1000 stays below the default sparse threshold
-// (2048) and runs the exact O(n^3) path — the anchor for projecting exact
-// cost to larger n — while 5000 and 20000 engage the subset-of-data sparse
-// fallback (landmark core + exact tail, blocked SIMD factors), whose active
-// set stays near-constant as the history grows. The perf gate's headline
-// comparison: the 20k sparse fit must beat the cubic projection of the 1k
-// exact fit by orders of magnitude.
-void BM_GpFitLargeHistory(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto set = make_training_set(n);
-  const repro::tuner::SparseGpOptions sparse;  // production defaults
-  const char* mode = "";
-  for (auto _ : state) {
-    GpRegressor gp(GpHyperparams{0.3, 1.0, 1e-2});
-    gp.set_incremental(false);
-    gp.set_sparse_options(sparse);
-    benchmark::DoNotOptimize(gp.fit(set.x, set.y));
-    mode = repro::tuner::surrogate_mode_name(gp.mode());
-  }
-  state.SetLabel(std::string("mode=") + mode);
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_GpFitLargeHistory)
-    ->Arg(1000)
-    ->Arg(5000)
-    ->Arg(20000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GpPredictLargeHistory(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto set = make_training_set(n);
-  GpRegressor gp(GpHyperparams{0.3, 1.0, 1e-2});
-  gp.set_sparse_options(repro::tuner::SparseGpOptions{});
-  (void)gp.fit(set.x, set.y);
-  const std::vector<double> query = {0.1, 0.9, 0.5, 0.3, 0.7, 0.2};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gp.predict(query));
-  }
-  state.SetLabel(std::string("mode=") +
-                 repro::tuner::surrogate_mode_name(gp.mode()));
-}
-BENCHMARK(BM_GpPredictLargeHistory)->Arg(1000)->Arg(5000)->Arg(20000);
-
 void BM_GpHyperparamSearch(benchmark::State& state) {
   const auto set = make_training_set(static_cast<std::size_t>(state.range(0)));
   GpRegressor gp;

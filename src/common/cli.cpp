@@ -40,16 +40,12 @@ bool CliParser::parse(int argc, const char* const* argv) {
     }
     auto it = options_.find(name);
     if (it == options_.end()) {
-      std::fprintf(stderr, "unknown flag --%s\n%s", name.c_str(), usage().c_str());
-      return false;
+      throw FlagError(fmt("unknown flag --{} (see --help)", name));
     }
     Option& opt = it->second;
     opt.seen = true;
     if (opt.is_flag) {
-      if (has_inline) {
-        std::fprintf(stderr, "flag --%s does not take a value\n", name.c_str());
-        return false;
-      }
+      if (has_inline) throw FlagError(fmt("--{}: flag does not take a value", name));
       // clear+push_back sidesteps a GCC 12 -Wrestrict false positive
       // (PR105329) on literal assignment after the substr calls above.
       opt.value.clear();
@@ -57,10 +53,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
     } else if (has_inline) {
       opt.value = std::move(inline_value);
     } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag --%s requires a value\n", name.c_str());
-        return false;
-      }
+      if (i + 1 >= argc) throw FlagError(fmt("--{}: missing value", name));
       opt.value = argv[++i];
     }
   }

@@ -3,6 +3,8 @@
 // Supports `--name value`, `--name=value`, boolean `--flag`, and collects
 // positionals. Unknown flags are an error so typos fail loudly, and so is a
 // numeric value that is not a number from its first character to its last.
+// Every such error is a FlagError naming the flag; callers map it to a
+// nonzero exit (run_cli does this for a whole program).
 
 #include <cstdint>
 #include <map>
@@ -13,7 +15,8 @@
 
 namespace repro {
 
-/// A flag value that does not parse; the message names the flag.
+/// An unknown flag, a missing or unexpected value, or a value that does not
+/// parse; the message names the flag.
 class FlagError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -30,7 +33,9 @@ class CliParser {
   /// Register a boolean flag (present => true).
   void add_flag(const std::string& name, const std::string& help);
 
-  /// Parse argv. Returns false (after printing usage) on error or --help.
+  /// Parse argv. Returns false after printing usage for --help; throws
+  /// FlagError naming the flag for an unknown flag, a value-taking option
+  /// without a value, or a value on a boolean flag.
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "tuner/registry.hpp"
 
 namespace repro::harness {
 namespace {
@@ -188,7 +189,12 @@ StudyResults load_results_csv(const std::string& path) {
       throw std::runtime_error("load_results_csv: unknown kind at line " +
                                std::to_string(line_number));
     }
+    const std::size_t known_algorithms = results.config.algorithms.size();
     const std::size_t a = index_of_or_append(results.config.algorithms, algorithm);
+    if (a == known_algorithms && !tuner::is_algorithm(algorithm)) {
+      throw std::runtime_error("load_results_csv: unknown algorithm '" + algorithm +
+                               "' at line " + std::to_string(line_number));
+    }
     const std::size_t s = index_of_or_append(results.config.sample_sizes,
                                              std::stoull(size_text));
     if (panel.cells.size() < results.config.algorithms.size()) {

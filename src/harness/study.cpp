@@ -219,6 +219,13 @@ StudyResults run_study(const StudyConfig& config_in) {
   for (std::size_t size : config.sample_sizes) {
     if (size == 0) throw std::invalid_argument("run_study: sample sizes must be at least 1");
   }
+  // An unknown id would abort each of its experiments and then kill the
+  // process when the figures look up its display name, after all the work.
+  for (const std::string& id : config.algorithms) {
+    if (!tuner::is_algorithm(id)) {
+      throw std::invalid_argument(fmt("run_study: unknown algorithm '{}'", id));
+    }
+  }
 
   StudyResults results;
   results.config = config;

@@ -118,17 +118,6 @@ int main(int argc, char** argv) {
                "--store-dir; a cold store falls back to the normal search)");
   cli.add_flag("store-stats",
                "print the daemon's results-store statistics and exit");
-  if (!cli.parse(argc, argv)) return 2;
-
-  if (cli.get_flag("warm-start") && cli.get_flag("verify")) {
-    // A warm-started search sees prior history the in-process replay does
-    // not, so byte-identity against minimize() is not a meaningful check.
-    std::fprintf(stderr,
-                 "tune_client: --warm-start and --verify are mutually "
-                 "exclusive (the warm prior changes the trajectory)\n");
-    return 2;
-  }
-
   std::uint16_t port = 0;
   std::size_t budget = 0;
   std::uint64_t master_seed = 0;
@@ -136,6 +125,7 @@ int main(int argc, char** argv) {
   std::size_t stop_after = 0;
   service::ClientConfig client_config;
   try {
+    if (!cli.parse(argc, argv)) return 0;
     port = parse_port_flag("port", cli.get("port"));
     budget = static_cast<std::size_t>(cli.get_int("budget"));
     master_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
@@ -147,6 +137,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "tune_client: %s\n", error.what());
     return 2;
   }
+
+  if (cli.get_flag("warm-start") && cli.get_flag("verify")) {
+    // A warm-started search sees prior history the in-process replay does
+    // not, so byte-identity against minimize() is not a meaningful check.
+    std::fprintf(stderr,
+                 "tune_client: --warm-start and --verify are mutually "
+                 "exclusive (the warm prior changes the trajectory)\n");
+    return 2;
+  }
+
   std::vector<service::ClientConfig::Endpoint> endpoints;
   for (const std::string& item : split_list(cli.get("endpoints"))) {
     service::ClientConfig::Endpoint endpoint;

@@ -79,12 +79,11 @@ int main(int argc, char** argv) {
                  "results-store live-record cap (oldest records evicted "
                  "past it)",
                  "1048576");
-  if (!cli.parse(argc, argv)) return 2;
-
   service::ServerConfig config;
   std::chrono::milliseconds drain_budget{0};
   long long status_interval = 0;
   try {
+    if (!cli.parse(argc, argv)) return 0;
     config.port = parse_port_flag("port", cli.get("port"));
     config.connection_threads = static_cast<std::size_t>(cli.get_int("threads"));
     config.limits.max_sessions = static_cast<std::size_t>(cli.get_int("max-sessions"));

@@ -76,10 +76,9 @@ int main(int argc, char** argv) {
   cli.add_option("probe-timeout-ms", "per-probe RPC budget", "2000");
   cli.add_option("probe-failures",
                  "consecutive failed probes before a shard is down", "2");
-  if (!cli.parse(argc, argv)) return 2;
-
   service::RouterConfig config;
   try {
+    if (!cli.parse(argc, argv)) return 0;
     config.port = parse_port_flag("port", cli.get("port"));
     config.connection_threads = static_cast<std::size_t>(cli.get_int("threads"));
     const long long probe_interval = cli.get_int("probe-interval-ms");

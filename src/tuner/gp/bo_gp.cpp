@@ -84,7 +84,6 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
     for (std::size_t i = 0; i < init; ++i) observe(draw(rng));
 
     GpRegressor gp;
-    gp.set_sparse_options(options_.sparse);
     std::size_t last_hyperopt = 0;
     for (;;) {
       // Assemble the training set: penalize failures against the worst

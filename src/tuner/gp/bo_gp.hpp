@@ -36,10 +36,6 @@ struct BoGpOptions {
   /// acquisition candidates are drawn from the executable sub-space, giving
   /// the SMBO method the constraint specification the paper withheld.
   bool constraint_aware = false;
-  /// Large-history sparse fallback, forwarded to the GP surrogate verbatim.
-  /// Inert under the paper protocol: max_train_points caps the training set
-  /// far below the default sparse threshold.
-  SparseGpOptions sparse;
   /// Cross-tenant warm start (tuner/warm_start.hpp): prior rows enter the
   /// GP training set as observations at zero budget cost, and random
   /// initialization shrinks to min_init. Null/empty = byte-identical cold

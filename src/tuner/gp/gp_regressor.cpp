@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "stats/descriptive.hpp"
 
@@ -27,18 +26,8 @@ double matern52(double r, double lengthscale, double signal_variance) {
   return signal_variance * (1.0 + s + s * s / 3.0) * std::exp(-s);
 }
 
-const char* surrogate_mode_name(SurrogateMode mode) noexcept {
-  switch (mode) {
-    case SurrogateMode::kExact: return "exact";
-    case SurrogateMode::kSparse: return "sparse";
-  }
-  return "unknown";
-}
-
 double GpRegressor::kernel(std::span<const double> a, std::span<const double> b) const {
-  const double sq = blocked_
-                        ? simd::squared_distance(a.data(), b.data(), a.size())
-                        : simd::seq::squared_distance(a.data(), b.data(), a.size());
+  const double sq = simd::seq::squared_distance(a.data(), b.data(), a.size());
   return matern52(std::sqrt(sq), hyper_.lengthscale, hyper_.signal_variance);
 }
 
@@ -52,12 +41,10 @@ void GpRegressor::extend_distances(std::size_t from) {
   for (std::size_t i = std::max<std::size_t>(from, 1); i < n; ++i) {
     double* row = dist_.data() + i * (i - 1) / 2;
     for (std::size_t j = 0; j < i; ++j) {
-      // Same accumulation regime as kernel(), so matern52(distance(i, j))
+      // Same accumulation order as kernel(), so matern52(distance(i, j))
       // reproduces kernel(X_[i], X_[j]) bitwise.
-      const double sq =
-          blocked_ ? simd::squared_distance(X_[i].data(), X_[j].data(), X_[i].size())
-                   : simd::seq::squared_distance(X_[i].data(), X_[j].data(), X_[i].size());
-      row[j] = std::sqrt(sq);
+      row[j] = std::sqrt(
+          simd::seq::squared_distance(X_[i].data(), X_[j].data(), X_[i].size()));
     }
   }
 }
@@ -135,99 +122,16 @@ void GpRegressor::finish_fit(std::span<const double> ys) {
   const std::size_t n = ys.size();
   alpha_.assign(n, 0.0);
   chol_.solve(ys, alpha_);
-  const double fit_term = blocked_ ? simd::dot(ys.data(), alpha_.data(), n)
-                                   : simd::seq::dot(ys.data(), alpha_.data(), n);
+  const double fit_term = simd::seq::dot(ys.data(), alpha_.data(), n);
   lml_ = -0.5 * fit_term - chol_.log_diag_sum() -
          0.5 * static_cast<double>(n) * std::log(2.0 * 3.14159265358979323846);
   fitted_ = true;
-}
-
-void GpRegressor::set_sparse_options(const SparseGpOptions& options) {
-  sparse_ = options;
-  // Everything cached is derived from the old configuration; start clean.
-  X_.clear();
-  dist_.clear();
-  candidates_.clear();
-  chol_.clear();
-  core_.clear();
-  basis_ = 0;
-  mode_ = SurrogateMode::kExact;
-  blocked_ = false;
-  chol_.set_blocked(false);
-  fitted_ = false;
-}
-
-std::size_t GpRegressor::sparse_basis(std::size_t n) const noexcept {
-  // Refresh grid: threshold, then geometric growth. Integer state only, so
-  // the grid — and with it the landmark selection — is a pure function of
-  // (options, n), independent of the sequence of fit() calls that got here.
-  std::size_t basis = sparse_.threshold;
-  for (;;) {
-    const auto scaled =
-        static_cast<std::size_t>(static_cast<double>(basis) * sparse_.refresh_factor);
-    const std::size_t next = std::max(basis + 1, scaled);
-    if (next > n) return basis;
-    basis = next;
-  }
 }
 
 bool GpRegressor::fit(std::span<const std::vector<double>> X, std::span<const double> y) {
   if (X.size() != y.size() || X.empty()) {
     throw std::invalid_argument("GpRegressor::fit: bad training set");
   }
-  const std::size_t n_total = X.size();
-  const bool sparse = sparse_.enabled() && n_total > sparse_.threshold;
-  const SurrogateMode mode = sparse ? SurrogateMode::kSparse : SurrogateMode::kExact;
-  if (mode != mode_) {
-    // The arithmetic regime flips with the mode, so every cached factor and
-    // distance — computed under the other regime — is stale.
-    X_.clear();
-    dist_.clear();
-    candidates_.clear();
-    chol_.clear();
-    mode_ = mode;
-    blocked_ = sparse;
-    chol_.set_blocked(blocked_);
-    if (!sparse) {
-      core_.clear();
-      basis_ = 0;
-    }
-  }
-  if (!sparse) return fit_on(X, y);
-
-  const std::size_t basis = sparse_basis(n_total);
-  if (basis != basis_) {
-    // Landmark refresh: re-draw the core from the first `basis` points with
-    // a stream derived from (seed, basis) — deterministic across runs and
-    // across fit()-call schedules. Sorted ascending so the active set keeps
-    // a stable order between refreshes (tail appends preserve the prefix,
-    // which is what keeps the append_row fast path live).
-    Rng rng(seed_combine(sparse_.seed, basis));
-    core_ = rng.sample_indices(basis, std::min(sparse_.landmarks, basis));
-    std::sort(core_.begin(), core_.end());
-    basis_ = basis;
-    ++stat_sparse_refreshes_;
-    X_.clear();
-    dist_.clear();
-    candidates_.clear();
-  }
-
-  std::vector<std::vector<double>> active_x;
-  std::vector<double> active_y;
-  active_x.reserve(core_.size() + (n_total - basis));
-  active_y.reserve(core_.size() + (n_total - basis));
-  for (std::size_t i : core_) {
-    active_x.push_back(X[i]);
-    active_y.push_back(y[i]);
-  }
-  for (std::size_t i = basis; i < n_total; ++i) {
-    active_x.push_back(X[i]);
-    active_y.push_back(y[i]);
-  }
-  return fit_on(active_x, active_y);
-}
-
-bool GpRegressor::fit_on(std::span<const std::vector<double>> X, std::span<const double> y) {
   const std::size_t n = X.size();
 
   std::vector<double> ys(n);
@@ -256,8 +160,8 @@ bool GpRegressor::fit_on(std::span<const std::vector<double>> X, std::span<const
         }
         k.at(i, i) += hyper_.noise_variance + jitter;
       }
-      if (!cholesky_inplace(k, blocked_)) continue;
-      chol_ = PackedCholesky::from_lower(k, blocked_);
+      if (!cholesky_inplace(k)) continue;
+      chol_ = PackedCholesky::from_lower(k);
       finish_fit(ys);
       return true;
     }
@@ -283,7 +187,6 @@ bool GpRegressor::fit_on(std::span<const std::vector<double>> X, std::span<const
   if (state == nullptr) {
     candidates_.push_back(CandidateState{hyper_, {}, 0.0, false});
     state = &candidates_.back();
-    state->chol.set_blocked(blocked_);
   }
   if (!factorize(*state, n)) {
     fitted_ = false;
@@ -301,14 +204,12 @@ GpPrediction GpRegressor::predict(std::span<const double> x) const {
   for (std::size_t i = 0; i < n; ++i) k_star[i] = kernel(x, X_[i]);
 
   GpPrediction out;
-  const double mean_std = blocked_ ? simd::dot(k_star.data(), alpha_.data(), n)
-                                   : simd::seq::dot(k_star.data(), alpha_.data(), n);
+  const double mean_std = simd::seq::dot(k_star.data(), alpha_.data(), n);
   out.mean = mean_std * y_std_ + y_mean_;
 
   std::vector<double> v(n);
   chol_.solve_lower(k_star, v);
-  const double reduction = blocked_ ? simd::sum_squares(v.data(), n)
-                                    : simd::seq::sum_squares(v.data(), n);
+  const double reduction = simd::seq::sum_squares(v.data(), n);
   const double var_std =
       std::max(0.0, hyper_.signal_variance + hyper_.noise_variance - reduction);
   out.variance = var_std * y_std_ * y_std_;

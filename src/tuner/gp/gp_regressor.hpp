@@ -16,23 +16,11 @@
 // grown incrementally (it is hyperparameter-independent), so kernel
 // rebuilds cost O(n^2) matérn evaluations instead of O(n^2 d) distance
 // computations per candidate. All cached paths produce bit-identical
-// chol_/alpha_/lml_ to a from-scratch fit; tests assert this.
-//
-// Large histories: even the O(n^2) incremental refit stops scaling once the
-// history grows to tens of thousands of points. Above a configurable
-// threshold the regressor switches to a subset-of-data sparse mode: a
-// deterministic, seeded landmark core sampled from the history plus a tail
-// of every point observed since the last landmark refresh. The active set
-// stays O(landmarks + tail) regardless of n, the tail appends reuse the
-// same PackedCholesky fast path, and refreshes re-select the core at
-// geometrically spaced history sizes. Landmark selection is a pure function
-// of (seed, options, n) — two runs over the same history pick identical
-// cores. Sparse-mode arithmetic runs through the blocked SIMD kernels of
-// common/simd.hpp (bit-identical across dispatch tiers); the exact
-// small-history mode keeps the legacy sequential order, byte-compatible
-// with every committed campaign artifact.
+// chol_/alpha_/lml_ to a from-scratch fit; tests assert this. Every
+// reduction runs in strict sequential order (common/simd.hpp), so fits are
+// byte-compatible with every committed campaign artifact. BO GP caps the
+// training set at BoGpOptions::max_train_points, so n stays small.
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -52,27 +40,6 @@ struct GpHyperparams {
 struct GpPrediction {
   double mean = 0.0;
   double variance = 0.0;  ///< posterior variance (>= 0), in standardized units
-};
-
-/// Which surrogate regime the last fit ran under.
-enum class SurrogateMode {
-  kExact,   ///< full history, sequential arithmetic (legacy byte-stream)
-  kSparse,  ///< landmark subset, blocked SIMD arithmetic
-};
-
-[[nodiscard]] const char* surrogate_mode_name(SurrogateMode mode) noexcept;
-
-/// Subset-of-data fallback for large histories. Sparse mode engages iff
-/// `threshold > 0 && landmarks > 0 && n > threshold`; the defaults sit far
-/// above the paper protocol's train-set caps (BoGpOptions::max_train_points
-/// = 120), so paper studies never leave exact mode unless a caller opts in.
-struct SparseGpOptions {
-  std::size_t threshold = 2048;  ///< activate above this many points (0 = never)
-  std::size_t landmarks = 512;   ///< core size sampled from the history (0 = never)
-  std::uint64_t seed = 0x51A2CE6Bu;  ///< landmark-selection stream
-  double refresh_factor = 1.25;  ///< re-select the core when n grows by this factor
-
-  [[nodiscard]] bool enabled() const noexcept { return threshold > 0 && landmarks > 0; }
 };
 
 class GpRegressor {
@@ -115,17 +82,6 @@ class GpRegressor {
   [[nodiscard]] std::size_t incremental_rows() const noexcept { return stat_rows_incremental_; }
   [[nodiscard]] std::size_t full_refactorizations() const noexcept { return stat_full_refits_; }
 
-  /// Large-history sparse fallback. Changing the options resets all cached
-  /// state (factors, distances, landmark core); the next fit re-derives
-  /// everything from the new configuration.
-  void set_sparse_options(const SparseGpOptions& options);
-  [[nodiscard]] const SparseGpOptions& sparse_options() const noexcept { return sparse_; }
-
-  /// Regime of the last fit, landmark-refresh count, and current core size.
-  [[nodiscard]] SurrogateMode mode() const noexcept { return mode_; }
-  [[nodiscard]] std::size_t sparse_refreshes() const noexcept { return stat_sparse_refreshes_; }
-  [[nodiscard]] std::size_t landmarks_active() const noexcept { return core_.size(); }
-
  private:
   [[nodiscard]] double kernel(std::span<const double> a, std::span<const double> b) const;
 
@@ -163,34 +119,19 @@ class GpRegressor {
   /// Solve for alpha_ and the LML given the current factor and targets.
   void finish_fit(std::span<const double> y);
 
-  /// Fit on an already-projected training set (the full history in exact
-  /// mode, the landmark core + tail in sparse mode). Arithmetic regime is
-  /// taken from blocked_.
-  bool fit_on(std::span<const std::vector<double>> X, std::span<const double> y);
-
-  /// Largest landmark-refresh grid value <= n: threshold, then geometric
-  /// growth by refresh_factor. Pure in (options, n).
-  [[nodiscard]] std::size_t sparse_basis(std::size_t n) const noexcept;
-
   GpHyperparams hyper_;
-  SparseGpOptions sparse_;
-  SurrogateMode mode_ = SurrogateMode::kExact;
-  bool blocked_ = false;  ///< arithmetic regime; tracks mode_
   bool incremental_ = true;
-  std::size_t basis_ = 0;            ///< history size the core was drawn from
-  std::vector<std::size_t> core_;    ///< landmark indices, ascending
   std::vector<std::vector<double>> X_;
   std::vector<double> dist_;    ///< packed pairwise distances, row i has i entries
   std::vector<CandidateState> candidates_;
   std::vector<double> alpha_;   ///< (K + sigma^2 I)^{-1} y_standardized
-  PackedCholesky chol_;         ///< lower Cholesky factor of the active fit
+  PackedCholesky chol_;         ///< lower Cholesky factor of the current fit
   double y_mean_ = 0.0;
   double y_std_ = 1.0;
   double lml_ = 0.0;
   bool fitted_ = false;
   std::size_t stat_rows_incremental_ = 0;
   std::size_t stat_full_refits_ = 0;
-  std::size_t stat_sparse_refreshes_ = 0;
 };
 
 }  // namespace repro::tuner

@@ -3,29 +3,19 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/simd.hpp"
-
 namespace repro::tuner {
 
-bool cholesky_inplace(Matrix& a, bool blocked) {
+bool cholesky_inplace(Matrix& a) {
   const std::size_t n = a.size();
   for (std::size_t j = 0; j < n; ++j) {
     double diag = a.at(j, j);
-    if (blocked) {
-      diag -= simd::sum_squares(&a.at(j, 0), j);
-    } else {
-      for (std::size_t k = 0; k < j; ++k) diag -= a.at(j, k) * a.at(j, k);
-    }
+    for (std::size_t k = 0; k < j; ++k) diag -= a.at(j, k) * a.at(j, k);
     if (diag <= 0.0 || !std::isfinite(diag)) return false;
     const double root = std::sqrt(diag);
     a.at(j, j) = root;
     for (std::size_t i = j + 1; i < n; ++i) {
       double value = a.at(i, j);
-      if (blocked) {
-        value -= simd::dot(&a.at(i, 0), &a.at(j, 0), j);
-      } else {
-        for (std::size_t k = 0; k < j; ++k) value -= a.at(i, k) * a.at(j, k);
-      }
+      for (std::size_t k = 0; k < j; ++k) value -= a.at(i, k) * a.at(j, k);
       a.at(i, j) = value / root;
     }
   }
@@ -39,24 +29,15 @@ bool PackedCholesky::append_row(std::span<const double> a_row) {
   double* row = rows_.data() + n * (n + 1) / 2;
   // Row entries in column order: identical arithmetic to cholesky_inplace,
   // which for column k computes a(n,k) -= sum_{j<k} a(n,j)*a(k,j), then
-  // divides by the column-k pivot. In blocked mode the subtracted sum runs
-  // through the fixed-blocking SIMD dot instead of the sequential loop.
+  // divides by the column-k pivot.
   for (std::size_t k = 0; k < n; ++k) {
     double value = a_row[k];
     const double* col_row = rows_.data() + k * (k + 1) / 2;
-    if (blocked_) {
-      value -= simd::dot(row, col_row, k);
-    } else {
-      for (std::size_t j = 0; j < k; ++j) value -= row[j] * col_row[j];
-    }
+    for (std::size_t j = 0; j < k; ++j) value -= row[j] * col_row[j];
     row[k] = value / col_row[k];
   }
   double diag = a_row[n];
-  if (blocked_) {
-    diag -= simd::sum_squares(row, n);
-  } else {
-    for (std::size_t k = 0; k < n; ++k) diag -= row[k] * row[k];
-  }
+  for (std::size_t k = 0; k < n; ++k) diag -= row[k] * row[k];
   if (diag <= 0.0 || !std::isfinite(diag)) {
     rows_.resize(n * (n + 1) / 2);  // leave the factor as it was
     return false;
@@ -66,10 +47,9 @@ bool PackedCholesky::append_row(std::span<const double> a_row) {
   return true;
 }
 
-PackedCholesky PackedCholesky::from_lower(const Matrix& l, bool blocked) {
+PackedCholesky PackedCholesky::from_lower(const Matrix& l) {
   PackedCholesky out;
   out.n_ = l.size();
-  out.blocked_ = blocked;
   out.rows_.resize(out.n_ * (out.n_ + 1) / 2);
   for (std::size_t i = 0; i < out.n_; ++i) {
     for (std::size_t j = 0; j <= i; ++j) out.rows_[i * (i + 1) / 2 + j] = l.at(i, j);
@@ -82,11 +62,7 @@ void PackedCholesky::solve_lower(std::span<const double> b, std::span<double> x)
   for (std::size_t i = 0; i < n_; ++i) {
     const double* row = rows_.data() + i * (i + 1) / 2;
     double value = b[i];
-    if (blocked_) {
-      value -= simd::dot(row, x.data(), i);
-    } else {
-      for (std::size_t k = 0; k < i; ++k) value -= row[k] * x[k];
-    }
+    for (std::size_t k = 0; k < i; ++k) value -= row[k] * x[k];
     x[i] = value / row[i];
   }
 }
@@ -94,18 +70,6 @@ void PackedCholesky::solve_lower(std::span<const double> b, std::span<double> x)
 void PackedCholesky::solve_lower_transpose(std::span<const double> b,
                                            std::span<double> x) const {
   assert(b.size() == n_ && x.size() == n_);
-  if (blocked_) {
-    // The transpose walks column i, which is strided in packed-row storage;
-    // gather it into a scratch row so the blocked dot sees contiguous data.
-    std::vector<double> column(n_);
-    for (std::size_t i = n_; i-- > 0;) {
-      for (std::size_t k = i + 1; k < n_; ++k) column[k] = at(k, i);
-      const double value = b[i] - simd::dot(column.data() + i + 1,
-                                            x.data() + i + 1, n_ - i - 1);
-      x[i] = value / at(i, i);
-    }
-    return;
-  }
   for (std::size_t i = n_; i-- > 0;) {
     double value = b[i];
     for (std::size_t k = i + 1; k < n_; ++k) value -= at(k, i) * x[k];

@@ -1,16 +1,9 @@
 #pragma once
 // Small dense linear algebra for Gaussian process regression: row-major
-// square matrices, Cholesky factorization and triangular solves.
-//
-// Two reduction regimes coexist:
-//   - sequential (default): strict left-to-right inner loops, the order the
-//     exact GP has always used — byte-compatible with every committed
-//     campaign artifact.
-//   - blocked: inner dot products route through the fixed-blocking SIMD
-//     kernels in common/simd.hpp (runtime-dispatched scalar/SSE2/AVX2, all
-//     bit-identical to one another but *not* to the sequential order).
-// The sparse large-history GP mode enables blocked factors; the exact
-// small-history path never does, so legacy outputs stay byte-identical.
+// square matrices, Cholesky factorization and triangular solves. Every inner
+// reduction runs strictly left to right, the order the exact GP has always
+// used, so the factors are byte-compatible with every committed campaign
+// artifact.
 
 #include <cstddef>
 #include <span>
@@ -39,9 +32,7 @@ class Matrix {
 
 /// In-place lower Cholesky factorization A = L L^T (upper triangle is left
 /// untouched). Returns false if A is not (numerically) positive definite.
-/// `blocked` switches the inner reductions to the fixed-blocking SIMD
-/// kernels (bit-identical across dispatch tiers, not to sequential).
-[[nodiscard]] bool cholesky_inplace(Matrix& a, bool blocked = false);
+[[nodiscard]] bool cholesky_inplace(Matrix& a);
 
 /// Growable lower Cholesky factor in packed row storage (row i holds i+1
 /// entries), built one appended row at a time.
@@ -60,13 +51,6 @@ class PackedCholesky {
     rows_.clear();
   }
 
-  /// Route the inner reductions of append_row and the triangular solves
-  /// through the blocked SIMD kernels. Must be chosen before the first
-  /// append (mixing regimes inside one factor would make its rows
-  /// mutually inconsistent); clear() keeps the setting.
-  void set_blocked(bool blocked) noexcept { blocked_ = blocked; }
-  [[nodiscard]] bool blocked() const noexcept { return blocked_; }
-
   /// L(r, c) for c <= r.
   [[nodiscard]] double at(std::size_t r, std::size_t c) const noexcept {
     return rows_[r * (r + 1) / 2 + c];
@@ -80,10 +64,8 @@ class PackedCholesky {
   [[nodiscard]] bool append_row(std::span<const double> a_row);
 
   /// Bit-preserving copy of the lower triangle of an already-factorized
-  /// Matrix (the reference path of GpRegressor::fit). `blocked` sets the
-  /// solve regime of the returned factor and must match the regime the
-  /// Matrix was factorized under.
-  [[nodiscard]] static PackedCholesky from_lower(const Matrix& l, bool blocked = false);
+  /// Matrix (the reference path of GpRegressor::fit).
+  [[nodiscard]] static PackedCholesky from_lower(const Matrix& l);
 
   /// Triangular solves and log-determinant, mirroring the Matrix-based
   /// routines' arithmetic exactly.
@@ -94,7 +76,6 @@ class PackedCholesky {
 
  private:
   std::size_t n_ = 0;
-  bool blocked_ = false;
   std::vector<double> rows_;  ///< packed lower triangle, row-major
 };
 

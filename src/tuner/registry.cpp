@@ -56,6 +56,15 @@ std::unique_ptr<SearchAlgorithm> make_algorithm(const std::string& name) {
   throw std::out_of_range("unknown algorithm: " + name);
 }
 
+bool is_algorithm(const std::string& name) {
+  try {
+    (void)make_algorithm(name);
+    return true;
+  } catch (const std::out_of_range&) {
+    return false;
+  }
+}
+
 std::unique_ptr<SearchAlgorithm> make_algorithm(const std::string& name,
                                                 const PriorHandle& prior) {
   const std::string id = canonical(name);

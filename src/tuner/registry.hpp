@@ -19,6 +19,9 @@ namespace repro::tuner {
 /// Throws std::out_of_range for unknown names.
 [[nodiscard]] std::unique_ptr<SearchAlgorithm> make_algorithm(const std::string& name);
 
+/// True when make_algorithm accepts `name`.
+[[nodiscard]] bool is_algorithm(const std::string& name);
+
 /// Like make_algorithm, but with a cross-tenant warm-start prior
 /// (tuner/warm_start.hpp) injected into the model-based algorithms (BO GP,
 /// BO TPE, RF). Algorithms without a model ignore the prior; a null/empty

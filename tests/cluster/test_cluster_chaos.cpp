@@ -197,6 +197,8 @@ TEST(ServiceCli, BadPortsAndEndpointsAreUsageErrors) {
   // Each case: the binary and its arguments, the flag the one-line error
   // must name, and the exit code. 2 is the daemons' and loadgen's
   // usage-error code; the benches and examples exit 1 like the figure CLIs.
+  // Unknown flags and missing values are usage errors too, while --help is
+  // not: it prints the usage text (which names --port) and exits 0.
   struct Case {
     std::vector<std::string> argv;
     std::string flag;
@@ -220,11 +222,16 @@ TEST(ServiceCli, BadPortsAndEndpointsAreUsageErrors) {
       {{REPRO_LOADGEN_BIN, "--arrival-rate", "5x"}, "--arrival-rate", 2},
       {{REPRO_ABLATION_NOISE_BIN, "--repeats", "1x"}, "--repeats", 1},
       {{REPRO_COMPARE_ALGORITHMS_BIN, "--sizes", "25,x"}, "--sizes", 1},
+      {{REPRO_ABLATION_NOISE_BIN, "--bogus"}, "--bogus", 1},
+      {{REPRO_COMPARE_ALGORITHMS_BIN, "--sizes"}, "--sizes", 1},
+      {{REPRO_TUNED_BIN, "--bogus"}, "--bogus", 2},
+      {{REPRO_TUNED_BIN, "--help"}, "--port", 0},
   };
   const std::string log = fresh_dir() + "/cli.log";
   for (const Case& c : cases) {
-    EXPECT_EQ(run(c.argv, log), c.exit_code)
-        << c.argv[1] << " " << c.argv[2] << ": " << read_file(log);
+    std::string args;
+    for (const std::string& arg : c.argv) args += arg + " ";
+    EXPECT_EQ(run(c.argv, log), c.exit_code) << args << ": " << read_file(log);
     EXPECT_NE(read_file(log).find(c.flag), std::string::npos) << read_file(log);
   }
 }

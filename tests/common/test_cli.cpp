@@ -53,22 +53,31 @@ TEST(Cli, FlagPresence) {
   EXPECT_TRUE(cli.get_flag("fast"));
 }
 
-TEST(Cli, FlagRejectsValue) {
+/// parse(argv) must throw a FlagError whose message names `flag`: a false
+/// return means --help, so an error that returned false would exit 0.
+void expect_parse_error(int argc, const char* const* argv, const std::string& flag) {
   auto cli = make_parser();
+  try {
+    (void)cli.parse(argc, argv);
+    ADD_FAILURE() << "parse accepted " << flag;
+  } catch (const FlagError& error) {
+    EXPECT_NE(std::string(error.what()).find(flag), std::string::npos) << error.what();
+  }
+}
+
+TEST(Cli, FlagRejectsValue) {
   const char* argv[] = {"prog", "--fast=1"};
-  EXPECT_FALSE(cli.parse(2, argv));
+  expect_parse_error(2, argv, "--fast");
 }
 
 TEST(Cli, UnknownFlagFails) {
-  auto cli = make_parser();
   const char* argv[] = {"prog", "--bogus", "1"};
-  EXPECT_FALSE(cli.parse(3, argv));
+  expect_parse_error(3, argv, "--bogus");
 }
 
 TEST(Cli, MissingValueFails) {
-  auto cli = make_parser();
   const char* argv[] = {"prog", "--name"};
-  EXPECT_FALSE(cli.parse(2, argv));
+  expect_parse_error(2, argv, "--name");
 }
 
 TEST(Cli, HelpReturnsFalse) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "harness/figures.hpp"
 
 namespace repro::harness {
@@ -70,10 +71,13 @@ TEST(FiguresCli, HelpReturnsFalse) {
 }
 
 TEST(FiguresCli, UnknownFlagReturnsFalse) {
+  // Only --help returns false (exit 0); a typo throws, so the figure main
+  // exits 1 instead of "succeeding" without running.
   StudyConfig config;
   std::string out_dir;
   const char* argv[] = {"fig2", "--bogus"};
-  EXPECT_FALSE(parse_study_cli(2, argv, "fig2", "test", config, out_dir));
+  EXPECT_THROW((void)parse_study_cli(2, argv, "fig2", "test", config, out_dir),
+               repro::FlagError);
 }
 
 TEST(FiguresCli, MalformedNumbersThrowNamingTheFlag) {

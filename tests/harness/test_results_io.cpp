@@ -80,6 +80,12 @@ TEST(ResultsIo, LoadValidatesFormat) {
         << "weird,add,titanv,rs,25,0,1.0\n";
   }
   EXPECT_THROW((void)load_results_csv(path), std::runtime_error);
+  {
+    std::ofstream out(path);
+    out << "kind,benchmark,architecture,algorithm,sample_size,experiment,value\n"
+        << "outcome,add,titanv,bogpp,25,0,1.0\n";
+  }
+  EXPECT_THROW((void)load_results_csv(path), std::runtime_error);
   std::remove(path.c_str());
   EXPECT_THROW((void)load_results_csv("/no_such_dir/x.csv"), std::runtime_error);
 }

@@ -302,6 +302,12 @@ TEST(Study, RejectsUnusableScaleAndSampleSizeBeforeAnyWork) {
   config.checkpoint_path = path;
   config.sample_sizes = {10, 0};
   EXPECT_THROW((void)run_study(config), std::invalid_argument);
+  // A mistyped algorithm id must fail here, not after the campaign when
+  // the figures look up its display name.
+  config = tiny_config();
+  config.checkpoint_path = path;
+  config.algorithms = {"rs", "bogpp"};
+  EXPECT_THROW((void)run_study(config), std::invalid_argument);
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 

@@ -127,9 +127,9 @@ TEST(Reprolint, AllowlistedFixtureUnderVirtualPaths) {
 }
 
 TEST(Reprolint, SimdHorizontalReduceFiresAndJustifiedNolintSilences) {
-  // An unordered SIMD lane reduction is a nondet-reduction hazard; the
-  // sanctioned fixed-order use in common/simd.cpp carries a justified
-  // NOLINT, which must count as suppressed rather than leak a finding.
+  // An unordered SIMD lane reduction is a nondet-reduction hazard; a use
+  // that pins its combination order carries a justified NOLINT, which must
+  // count as suppressed rather than leak a finding.
   const std::string bare =
       "double total(__m256d acc) { return _mm256_hadd_pd(acc, acc)[0]; }\n";
   Report flagged;

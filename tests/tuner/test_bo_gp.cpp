@@ -118,26 +118,5 @@ TEST(BoGp, ConstraintAwareModeNeverProposesInvalid) {
   EXPECT_TRUE(all_executable);
 }
 
-TEST(BoGp, SparseSurrogateModeStillTunesDeterministically) {
-  // Force the sparse fallback to engage mid-run (threshold far below the
-  // budget) and check the tuner stays deterministic and functional. The
-  // trace legitimately differs from exact mode — the surrogate is an
-  // approximation — but it must not diverge between identical runs.
-  const ParamSpace space = paper_search_space();
-  BoGpOptions options;
-  options.sparse.threshold = 16;
-  options.sparse.landmarks = 8;
-  options.max_train_points = 256;  // keep history above the sparse threshold
-  TuneResult results[2];
-  for (int run = 0; run < 2; ++run) {
-    Evaluator evaluator(space, testing::bowl_objective(), 40);
-    repro::Rng rng(42);
-    results[run] = BoGp(options).minimize(space, evaluator, rng);
-  }
-  EXPECT_TRUE(results[0].found_valid);
-  EXPECT_EQ(results[0].best_config, results[1].best_config);
-  EXPECT_EQ(results[0].best_value, results[1].best_value);
-}
-
 }  // namespace
 }  // namespace repro::tuner

@@ -22,6 +22,7 @@ TEST(Registry, AllIdsConstruct) {
     const auto algorithm = make_algorithm(id);
     ASSERT_NE(algorithm, nullptr) << id;
     EXPECT_FALSE(algorithm->name().empty());
+    EXPECT_TRUE(is_algorithm(id)) << id;
   }
 }
 
@@ -38,10 +39,13 @@ TEST(Registry, AliasesAndNormalization) {
   EXPECT_EQ(make_algorithm("bo_gp")->name(), "BO GP");
   EXPECT_EQ(make_algorithm("Random-Search")->name(), "RS");
   EXPECT_EQ(make_algorithm("TPE")->name(), "BO TPE");
+  EXPECT_TRUE(is_algorithm("BO GP"));
+  EXPECT_TRUE(is_algorithm("Random-Search"));
 }
 
 TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW((void)make_algorithm("gradient-descent"), std::out_of_range);
+  EXPECT_FALSE(is_algorithm("gradient-descent"));
 }
 
 TEST(Registry, ExtrasIncludeCltuneAndOpenTunerBaselines) {

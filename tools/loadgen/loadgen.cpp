@@ -147,7 +147,7 @@ int run(int argc, char** argv) {
   cli.add_option("admission-wait-ms",
                  "longest a queued open may wait on the shard (open loop)",
                  "200");
-  if (!cli.parse(argc, argv)) return 2;
+  if (!cli.parse(argc, argv)) return 0;
   const std::size_t clients = static_cast<std::size_t>(cli.get_int("clients"));
   const std::size_t sessions_per_client =
       static_cast<std::size_t>(cli.get_int("sessions"));

@@ -84,9 +84,10 @@ const std::set<std::string>& distribution_names() {
 const std::set<std::string>& simd_reduce_names() {
   // Horizontal SIMD float reductions: the lane-combination order is fixed by
   // the instruction, not by the source loop, so swapping dispatch tiers (or
-  // compilers) silently reassociates the sum. Ordered alternatives live in
-  // common/simd.hpp (fixed-blocking kernels); a use that pins and documents
-  // its combination order carries a justified NOLINT.
+  // compilers) silently reassociates the sum. The ordered alternative is a
+  // scalar left-to-right accumulation (simd::seq in common/simd.hpp); a use
+  // that pins and documents its combination order carries a justified
+  // NOLINT.
   static const std::set<std::string> names = {
       "_mm_hadd_ps",          "_mm_hadd_pd",
       "_mm256_hadd_ps",       "_mm256_hadd_pd",
@@ -335,8 +336,8 @@ void lint_content(const std::string& path, const std::string& content,
     }
     if (simd_reduce_names().count(id) != 0 && is(t, i + 1, "(")) {
       emit(path, lx, line, "reprolint-nondet-reduction",
-           id + " combines SIMD lanes in hardware order; use the ordered "
-           "fixed-blocking kernels in common/simd.hpp or justify with NOLINT",
+           id + " combines SIMD lanes in hardware order; use an ordered "
+           "scalar accumulation (simd::seq) or justify with NOLINT",
            options, report);
       continue;
     }
