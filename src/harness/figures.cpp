@@ -1,5 +1,6 @@
 #include "harness/figures.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -94,6 +95,16 @@ int run_figure_main(int argc, const char* const* argv, Figure figure) {
     return 1;
   }
 
+  // Fig. 4 measures every algorithm against Random Search: refuse a set
+  // without it before a campaign runs, and a raw CSV without it on load.
+  const bool needs_rs = figure == Figure::kFig4a || figure == Figure::kFig4b;
+  const auto lacks_rs = [&](const std::vector<std::string>& algorithms) {
+    if (!needs_rs || std::find(algorithms.begin(), algorithms.end(), "rs") != algorithms.end())
+      return false;
+    log_error("{} compares against Random Search: the algorithm set must include rs", name);
+    return true;
+  };
+  if (g_from_raw.empty() && lacks_rs(config.algorithms)) return 1;
   StudyResults results;
   try {
     results = g_from_raw.empty() ? run_study(config) : load_results_csv(g_from_raw);
@@ -102,6 +113,7 @@ int run_figure_main(int argc, const char* const* argv, Figure figure) {
     log_error("{}", error.what());
     return 1;
   }
+  if (lacks_rs(results.config.algorithms)) return 1;
   if (!g_save_raw.empty()) {
     // A failed save must fail the run: a full-day campaign silently dropping
     // its raw outcomes is unrecoverable.

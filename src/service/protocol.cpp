@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 
+#include "service/status_codec.hpp"
 #include "store/fingerprint.hpp"
 
 namespace repro::service {
@@ -434,33 +435,6 @@ tuner::Evaluation decode_evaluation(const Json& object) {
   return eval;
 }
 
-Json encode_counters(const tuner::FailureCounters& counters) {
-  Json object = Json::object();
-  object.set("ok", static_cast<std::uint64_t>(counters.ok));
-  object.set("invalid", static_cast<std::uint64_t>(counters.invalid));
-  object.set("transient", static_cast<std::uint64_t>(counters.transient));
-  object.set("timeout", static_cast<std::uint64_t>(counters.timeout));
-  object.set("crashed", static_cast<std::uint64_t>(counters.crashed));
-  object.set("retries", static_cast<std::uint64_t>(counters.retries));
-  object.set("retry_successes", static_cast<std::uint64_t>(counters.retry_successes));
-  object.set("backoff_us", counters.backoff_us);
-  return object;
-}
-
-tuner::FailureCounters decode_counters(const Json& object) {
-  tuner::FailureCounters counters;
-  counters.ok = static_cast<std::size_t>(require_uint(object, "ok"));
-  counters.invalid = static_cast<std::size_t>(require_uint(object, "invalid"));
-  counters.transient = static_cast<std::size_t>(require_uint(object, "transient"));
-  counters.timeout = static_cast<std::size_t>(require_uint(object, "timeout"));
-  counters.crashed = static_cast<std::size_t>(require_uint(object, "crashed"));
-  counters.retries = static_cast<std::size_t>(require_uint(object, "retries"));
-  counters.retry_successes =
-      static_cast<std::size_t>(require_uint(object, "retry_successes"));
-  counters.backoff_us = require(object, "backoff_us").as_double();
-  return counters;
-}
-
 Json encode_tune_result(const tuner::TuneResult& result,
                         const tuner::FailureCounters& counters) {
   Json object = Json::object();
@@ -469,7 +443,9 @@ Json encode_tune_result(const tuner::TuneResult& result,
   object.set("best_value",
              std::isfinite(result.best_value) ? Json(result.best_value) : Json(nullptr));
   object.set("evaluations_used", static_cast<std::uint64_t>(result.evaluations_used));
-  object.set("counters", encode_counters(counters));
+  Json tallies = Json::object();
+  encode_report(counters, tallies);
+  object.set("counters", std::move(tallies));
   return object;
 }
 
@@ -482,7 +458,10 @@ void decode_tune_result(const Json& object, tuner::TuneResult* result,
       best.is_null() ? std::numeric_limits<double>::quiet_NaN() : best.as_double();
   result->evaluations_used =
       static_cast<std::size_t>(require_uint(object, "evaluations_used"));
-  if (counters != nullptr) *counters = decode_counters(require(object, "counters"));
+  if (counters != nullptr) {
+    *counters = decode_report<tuner::FailureCounters>(require(object, "counters"),
+                                                      Decode::kStrict);
+  }
 }
 
 Json encode_tenants(const std::vector<store::TenantSnapshot>& tenants) {

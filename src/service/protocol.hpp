@@ -271,13 +271,12 @@ struct OpenParams {
 void encode_evaluation_into(Json& object, const tuner::Evaluation& eval);
 [[nodiscard]] tuner::Evaluation decode_evaluation(const Json& object);
 
+/// A `result` payload. Its "counters" go through the status codec
+/// (status_codec.hpp) and decode strictly: every counter must be present.
 [[nodiscard]] Json encode_tune_result(const tuner::TuneResult& result,
                                       const tuner::FailureCounters& counters);
 void decode_tune_result(const Json& object, tuner::TuneResult* result,
                         tuner::FailureCounters* counters);
-
-[[nodiscard]] Json encode_counters(const tuner::FailureCounters& counters);
-[[nodiscard]] tuner::FailureCounters decode_counters(const Json& object);
 
 /// Results-store export payload <-> wire form. One tenant is
 /// {"benchmark":...,"arch":...,"space":"<fingerprint>",

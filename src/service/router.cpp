@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <charconv>
-#include <iterator>
-#include <map>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "common/log.hpp"
+#include "service/session_manager.hpp"
+#include "service/status_codec.hpp"
 
 namespace repro::service {
 
@@ -69,25 +68,13 @@ namespace {
 /// Classify a shard's status reply. Draining, fenced, or
 /// shipping-disconnected primaries still serve, but should not take new
 /// placements preferentially — callers treat kDegraded as placeable.
-[[nodiscard]] ShardHealth classify(const Json& status) {
-  const Json* draining = status.find("draining");
-  if (draining != nullptr && draining->is_bool() && draining->as_bool())
+[[nodiscard]] ShardHealth classify(const StatusReport& status) {
+  if (status.draining) return ShardHealth::kDegraded;
+  if (status.ship_enabled && (status.ship_fenced || !status.ship_connected))
     return ShardHealth::kDegraded;
-  const Json* enabled = status.find("ship_enabled");
-  if (enabled != nullptr && enabled->is_bool() && enabled->as_bool()) {
-    const Json* connected = status.find("ship_connected");
-    const Json* fenced = status.find("ship_fenced");
-    if (fenced != nullptr && fenced->is_bool() && fenced->as_bool())
-      return ShardHealth::kDegraded;
-    if (connected == nullptr || !connected->is_bool() || !connected->as_bool())
-      return ShardHealth::kDegraded;
-  }
   // A re-seeding shard is serving but its follower has not caught up to
   // the live watermark yet — placeable, not preferred.
-  const Json* ship_state = status.find("ship_state");
-  if (ship_state != nullptr && ship_state->is_string() &&
-      ship_state->as_string() == "catching_up")
-    return ShardHealth::kDegraded;
+  if (status.ship_state == ShipState::kCatchingUp) return ShardHealth::kDegraded;
   return ShardHealth::kUp;
 }
 
@@ -203,9 +190,11 @@ void Router::probe_loop() {
 
 void Router::probe_shard(std::size_t shard) {
   const Endpoint target = endpoint(shard);
-  const std::optional<Json> status =
+  const std::optional<Json> reply =
       call_once(target.host, target.port, config_.name + "-probe",
                 config_.probe_timeout, op_frame(Op::kStatus));
+  const std::optional<StatusReport> status =
+      reply ? std::optional(decode_report<StatusReport>(*reply)) : std::nullopt;
   bool cross_down_threshold = false;
   bool want_reseed = false;
   {
@@ -235,24 +224,19 @@ void Router::probe_shard(std::size_t shard) {
 }
 
 void Router::maybe_reseed(std::size_t shard, const Endpoint& primary,
-                          const Json& status) {
+                          const StatusReport& status) {
   // The probe status doubles as the dedup guard: a resync already in
   // flight shows catching_up (leave it alone), and a reseed whose reply
   // was lost to a timeout shows hot with a ship_target (adopt it without
   // another RPC).
-  std::string ship_state;
-  if (const Json* field = status.find("ship_state");
-      field != nullptr && field->is_string())
-    ship_state = field->as_string();
-  if (ship_state == "catching_up" || ship_state == "fenced") return;
-  if (ship_state == "hot") {
-    std::string target_text;
-    if (const Json* field = status.find("ship_target");
-        field != nullptr && field->is_string())
-      target_text = field->as_string();
+  if (status.ship_state == ShipState::kCatchingUp || status.ship_state == ShipState::kFenced)
+    return;
+  if (status.ship_state == ShipState::kHot) {
     std::string host;
     std::uint16_t port = 0;
-    if (!parse_endpoint(target_text, &host, &port) || host.empty()) return;
+    if (!status.ship_target || !parse_endpoint(*status.ship_target, &host, &port) ||
+        host.empty())
+      return;
     adopt_standby(shard, primary.generation, host, port);
     return;
   }
@@ -275,9 +259,7 @@ void Router::maybe_reseed(std::size_t shard, const Endpoint& primary,
     const std::optional<Json> reply =
         call_once(candidate.host, candidate.port, config_.name + "-probe",
                   config_.probe_timeout, op_frame(Op::kStatus));
-    if (!reply || !is_ok(*reply)) continue;
-    const Json* role = reply->find("role");
-    if (role == nullptr || !role->is_string() || role->as_string() != "standby")
+    if (!reply || !is_ok(*reply) || decode_report<StatusReport>(*reply).role != "standby")
       continue;  // a deposed primary that has not demoted yet, or misconfig
     Json reseed = op_frame(Op::kReseed);
     reseed.set("host", candidate.host);
@@ -544,34 +526,31 @@ Json Router::route_store(Op op, const Json& request, Downstreams& downstreams) {
   // stats sum across the cluster, and exports page through the shards
   // sequentially (re-importing the concatenated pages dedups back to the
   // union). The per-shard digest and dir stay in the stats' "shards" rows.
-  static constexpr const char* kImportCounters[] = {"imported", "duplicates"};
-  static constexpr const char* kStatCounters[] = {
-      "records",     "tenants",   "appends",     "duplicates", "rejected",      "evictions",
-      "compactions", "io_errors", "log_records", "log_bytes",  "loaded_records"};
   const bool import = op == Op::kStoreImport;
-  const std::span<const char* const> counters =
-      import ? std::span<const char* const>(kImportCounters) : kStatCounters;
-  std::vector<std::uint64_t> totals(counters.size(), 0);
-  bool any_enabled = false;
+  std::uint64_t imported = 0;
+  std::uint64_t duplicates = 0;
+  store::StoreStats stats;
   Json per_shard = Json::array();
   for (std::size_t shard = 0; shard < config_.shards.size(); ++shard) {
     Json reply = forward(shard, request, /*idempotent=*/true, downstreams);
     if (!is_ok(reply)) return reply;
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-      const Json* field = reply.find(counters[i]);
-      if (field != nullptr && field->is_number()) totals[i] += field->as_uint64();
+    if (import) {
+      imported += optional_uint(reply, "imported").value_or(0);
+      duplicates += optional_uint(reply, "duplicates").value_or(0);
+      continue;
     }
-    if (import) continue;
-    const Json* enabled = reply.find("store_enabled");
-    any_enabled = any_enabled || (enabled != nullptr && enabled->is_bool() &&
-                                  enabled->as_bool());
+    merge_report(stats, decode_report<store::StoreStats>(reply));
     reply.set("shard", static_cast<std::uint64_t>(shard));
     per_shard.push_back(std::move(reply));
   }
   Json response = make_ok();
-  if (!import) response.set("store_enabled", any_enabled);
-  for (std::size_t i = 0; i < counters.size(); ++i) response.set(counters[i], totals[i]);
-  if (!import) response.set("shards", std::move(per_shard));
+  if (import) {
+    response.set("imported", imported);
+    response.set("duplicates", duplicates);
+    return response;
+  }
+  encode_rollup(stats, response);
+  response.set("shards", std::move(per_shard));
   return response;
 }
 
@@ -668,36 +647,20 @@ Json Router::aggregate_status() {
   response.set("server", config_.name);
   response.set("version", static_cast<std::uint64_t>(kProtocolVersion));
   response.set("role", "router");
-  std::uint64_t live = 0, opened = 0, closed = 0, evicted = 0, finished = 0;
-  std::uint64_t asks = 0, tells = 0, duplicates = 0;
-  // Cluster-wide quota rollup: additive counters sum, per-tenant tallies
-  // merge by tenant name (a tenant's sessions may span shards).
-  bool quota_enabled = false;
-  static constexpr const char* kQuotaCounters[] = {
-      "queue_depth", "queued",          "granted",        "timeouts",
-      "shed_anonymous", "shed_over_quota", "shed_queue_full",
-      "tell_pushbacks"};
-  std::uint64_t quota_totals[std::size(kQuotaCounters)] = {};
-  struct TenantTotals {
-    std::uint64_t sessions = 0;
-    std::uint64_t inflight_tells = 0;
-    std::uint64_t queued = 0;
-  };
-  std::map<std::string, TenantTotals> tenant_totals;
+  // Cluster-wide rollup through the daemons' own codec: counters sum, and
+  // per-tenant quota rows merge by tenant name (a tenant's sessions may
+  // span shards).
+  StatusReport cluster;
   Json shards = Json::array();
-  for (std::size_t index = 0; index < config_.shards.size(); ++index) {
-    const std::vector<ShardSnapshot> snapshots = this->shards();
-    const ShardSnapshot& snapshot = snapshots[index];
+  for (const ShardSnapshot& snapshot : this->shards()) {
     Json entry = Json::object();
-    entry.set("index", static_cast<std::uint64_t>(index));
-    entry.set("endpoint",
-              snapshot.host + ":" + std::to_string(snapshot.port));
+    entry.set("index", static_cast<std::uint64_t>(snapshot.index));
+    entry.set("endpoint", snapshot.host + ":" + std::to_string(snapshot.port));
     entry.set("health", to_string(snapshot.health));
     entry.set("has_standby", snapshot.has_standby);
     entry.set("promotions", static_cast<std::uint64_t>(snapshot.promotions));
     entry.set("reseeds", static_cast<std::uint64_t>(snapshot.reseeds));
-    entry.set("sessions_placed",
-              static_cast<std::uint64_t>(snapshot.sessions_placed));
+    entry.set("sessions_placed", static_cast<std::uint64_t>(snapshot.sessions_placed));
     if (snapshot.health != ShardHealth::kDown) {
       // Bounded out-of-band call, never the pooled downstream Client: a
       // wedged (SIGSTOPped, partitioned) shard that the prober has not yet
@@ -706,46 +669,7 @@ Json Router::aggregate_status() {
           snapshot.host, snapshot.port, config_.name, config_.probe_timeout, op_frame(Op::kStatus));
       const Json status = reply.value_or(Json::object());
       if (is_ok(status)) {
-        const auto add = [&status](std::uint64_t& total, const char* key) {
-          const Json* field = status.find(key);
-          if (field != nullptr && field->is_number()) total += field->as_uint64();
-        };
-        add(live, "live_sessions");
-        add(opened, "opened");
-        add(closed, "closed");
-        add(evicted, "evicted");
-        add(finished, "finished");
-        add(asks, "asks");
-        add(tells, "tells");
-        add(duplicates, "duplicate_tells");
-        if (const Json* quotas = status.find("quotas");
-            quotas != nullptr && quotas->is_object()) {
-          const Json* enabled = quotas->find("enabled");
-          quota_enabled = quota_enabled || (enabled != nullptr &&
-                                            enabled->is_bool() &&
-                                            enabled->as_bool());
-          for (std::size_t i = 0; i < std::size(kQuotaCounters); ++i) {
-            const Json* field = quotas->find(kQuotaCounters[i]);
-            if (field != nullptr && field->is_number())
-              quota_totals[i] += field->as_uint64();
-          }
-          if (const Json* tenants = quotas->find("tenants");
-              tenants != nullptr && tenants->is_array()) {
-            for (const Json& tenant : tenants->as_array()) {
-              const Json* name = tenant.find("tenant");
-              if (name == nullptr || !name->is_string()) continue;
-              TenantTotals& totals = tenant_totals[name->as_string()];
-              const auto addt = [&tenant](std::uint64_t& total, const char* key) {
-                const Json* field = tenant.find(key);
-                if (field != nullptr && field->is_number())
-                  total += field->as_uint64();
-              };
-              addt(totals.sessions, "sessions");
-              addt(totals.inflight_tells, "inflight_tells");
-              addt(totals.queued, "queued");
-            }
-          }
-        }
+        merge_report(cluster, decode_report<StatusReport>(status));
         entry.set("status", status);
       } else {
         const Json* message = status.find("message");
@@ -758,31 +682,7 @@ Json Router::aggregate_status() {
     shards.push_back(std::move(entry));
   }
   response.set("shards", std::move(shards));
-  response.set("live_sessions", live);
-  response.set("opened", opened);
-  response.set("closed", closed);
-  response.set("evicted", evicted);
-  response.set("finished", finished);
-  response.set("asks", asks);
-  response.set("tells", tells);
-  response.set("duplicate_tells", duplicates);
-  {
-    Json quotas = Json::object();
-    quotas.set("enabled", quota_enabled);
-    for (std::size_t i = 0; i < std::size(kQuotaCounters); ++i)
-      quotas.set(kQuotaCounters[i], quota_totals[i]);
-    Json tenants = Json::array();
-    for (const auto& [name, totals] : tenant_totals) {
-      Json tenant = Json::object();
-      tenant.set("tenant", name);
-      tenant.set("sessions", totals.sessions);
-      tenant.set("inflight_tells", totals.inflight_tells);
-      tenant.set("queued", totals.queued);
-      tenants.push_back(std::move(tenant));
-    }
-    quotas.set("tenants", std::move(tenants));
-    response.set("quotas", std::move(quotas));
-  }
+  encode_rollup(cluster, response);
   {
     repro::MutexLock lock(mutex_);
     response.set("reroutes", static_cast<std::uint64_t>(reroutes_));

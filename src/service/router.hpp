@@ -73,6 +73,8 @@
 
 namespace repro::service {
 
+struct StatusReport;  // session_manager.hpp
+
 enum class ShardHealth { kUp, kDegraded, kDown };
 
 [[nodiscard]] const char* to_string(ShardHealth health) noexcept;
@@ -241,7 +243,7 @@ class Router {
   /// the shard — its ship_state/ship_target dedup in-flight resyncs and
   /// adopt a follower whose reseed reply was lost to a timeout.
   void maybe_reseed(std::size_t shard, const Endpoint& primary,
-                    const Json& status);
+                    const StatusReport& status);
   /// Record `host:port` as `shard`'s standby (post-reseed), consuming the
   /// matching spare / clearing the deposed memory. Generation-checked.
   void adopt_standby(std::size_t shard, std::uint64_t observed_generation,

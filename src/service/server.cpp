@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/log.hpp"
+#include "service/status_codec.hpp"
 
 namespace repro::service {
 namespace {
@@ -289,26 +290,13 @@ Json TuneServer::dispatch(Op op, const Json& request, const std::string& quota_t
       manager_->close(require_string(request, "session"));
       return make_ok();
     case Op::kStoreStats: {
-      Json response = make_ok();
-      response.set("store_enabled", store_ != nullptr);
+      store::StoreStats stats;
       if (store_ != nullptr) {
-        const store::StoreStats stats = store_->stats();
-        response.set("dir", config_.store_dir);
-        response.set("records", static_cast<std::uint64_t>(stats.records));
-        response.set("tenants", static_cast<std::uint64_t>(stats.tenants));
-        response.set("appends", stats.appends);
-        response.set("duplicates", stats.duplicates);
-        response.set("rejected", stats.rejected);
-        response.set("evictions", stats.evictions);
-        response.set("compactions", stats.compactions);
-        response.set("io_errors", stats.io_errors);
-        response.set("log_records", static_cast<std::uint64_t>(stats.log_records));
-        response.set("log_bytes", stats.log_bytes);
-        response.set("loaded_records",
-                     static_cast<std::uint64_t>(stats.loaded_records));
-        response.set("torn_tail", stats.torn_tail);
-        response.set("digest", store_->digest());
+        stats = store_->stats();
+        stats.digest = store_->digest();
       }
+      Json response = make_ok();
+      encode_report(stats, response);
       return response;
     }
     case Op::kStoreExport: {
@@ -320,11 +308,13 @@ Json TuneServer::dispatch(Op op, const Json& request, const std::string& quota_t
       if (const Json* field = request.find("arch")) arch = field->as_string();
       // Row cap keeps every page inside kMaxFrameBytes (a row is ~60 wire
       // bytes); "next_cursor" in the reply resumes the export past it, so
-      // stores of any size stream out page by page.
+      // stores of any size stream out page by page. export_page reads a
+      // limit of 0 as "no cap", so the wire refuses it.
       constexpr std::uint64_t kExportRowCap = 8192;
-      const std::uint64_t limit =
-          std::min(optional_uint(request, "limit").value_or(kExportRowCap),
-                   kExportRowCap);
+      const std::uint64_t limit = optional_uint(request, "limit").value_or(kExportRowCap);
+      if (limit == 0)
+        return make_error(ErrorCode::kBadRequest, "store_export limit must be at least 1");
+      const auto page_rows = static_cast<std::size_t>(std::min(limit, kExportRowCap));
       std::string start_flat;
       std::size_t start_row = 0;
       if (const Json* field = request.find("cursor")) {
@@ -333,8 +323,8 @@ Json TuneServer::dispatch(Op op, const Json& request, const std::string& quota_t
           return make_error(ErrorCode::kBadRequest, "malformed export cursor");
         }
       }
-      const store::ResultsStore::ExportPage page = store_->export_page(
-          benchmark, arch, static_cast<std::size_t>(limit), start_flat, start_row);
+      const store::ResultsStore::ExportPage page =
+          store_->export_page(benchmark, arch, page_rows, start_flat, start_row);
       std::uint64_t rows = 0;
       for (const store::TenantSnapshot& tenant : page.tenants) rows += tenant.rows.size();
       Json response = make_ok();
@@ -431,127 +421,30 @@ Json TuneServer::dispatch(Op op, const Json& request, const std::string& quota_t
 }
 
 Json TuneServer::status_reply() {
-  const StatusReport report = manager_->status();
-  Json response = make_ok();
-  response.set("server", config_.name);
-  response.set("version", static_cast<std::uint64_t>(kProtocolVersion));
-  response.set("live_sessions", static_cast<std::uint64_t>(report.live_sessions));
-  response.set("opened", static_cast<std::uint64_t>(report.opened));
-  response.set("closed", static_cast<std::uint64_t>(report.closed));
-  response.set("evicted", static_cast<std::uint64_t>(report.evicted));
-  response.set("finished", static_cast<std::uint64_t>(report.finished));
-  response.set("asks", static_cast<std::uint64_t>(report.asks));
-  response.set("tells", static_cast<std::uint64_t>(report.tells));
-  response.set("duplicate_tells",
-               static_cast<std::uint64_t>(report.duplicate_tells));
-  response.set("tallies", encode_counters(report.tallies));
-  response.set("wal_enabled", report.wal_enabled);
-  if (report.wal_enabled) {
-    response.set("wal_errors", static_cast<std::uint64_t>(report.wal_errors));
-    Json recovery = Json::object();
-    recovery.set("sessions_recovered",
-                 static_cast<std::uint64_t>(report.recovery.sessions_recovered));
-    recovery.set("tells_replayed",
-                 static_cast<std::uint64_t>(report.recovery.tells_replayed));
-    recovery.set("sessions_failed",
-                 static_cast<std::uint64_t>(report.recovery.sessions_failed));
-    recovery.set("torn_tails",
-                 static_cast<std::uint64_t>(report.recovery.torn_tails));
-    recovery.set("closed_discarded",
-                 static_cast<std::uint64_t>(report.recovery.closed_discarded));
-    recovery.set("evicted_tombstones",
-                 static_cast<std::uint64_t>(report.recovery.evicted_tombstones));
-    response.set("recovery", std::move(recovery));
-  }
-  response.set("store_enabled", report.store_enabled);
-  if (report.store_enabled && store_ != nullptr) {
+  StatusReport report = manager_->status();
+  report.server = config_.name;
+  if (store_ != nullptr) {
     const store::StoreStats stats = store_->stats();
-    Json store_summary = Json::object();
-    store_summary.set("records", static_cast<std::uint64_t>(stats.records));
-    store_summary.set("tenants", static_cast<std::uint64_t>(stats.tenants));
-    store_summary.set("append_errors",
-                      static_cast<std::uint64_t>(report.store_errors));
-    store_summary.set("io_errors", stats.io_errors);
-    response.set("store", std::move(store_summary));
-  }
-  response.set("ship_enabled", report.ship_enabled);
-  response.set("ship_state", to_string(report.ship_state));
-  if (report.ship_enabled) {
-    response.set("ship_connected", report.ship_connected);
-    response.set("ship_fenced", report.ship_fenced);
-    if (!report.ship_target.empty())
-      response.set("ship_target", report.ship_target);
-    Json ship = Json::object();
-    ship.set("records_shipped",
-             static_cast<std::uint64_t>(report.ship.records_shipped));
-    ship.set("duplicates_acked",
-             static_cast<std::uint64_t>(report.ship.duplicates_acked));
-    ship.set("resyncs", static_cast<std::uint64_t>(report.ship.resyncs));
-    ship.set("reconnects", static_cast<std::uint64_t>(report.ship.reconnects));
-    ship.set("failures", static_cast<std::uint64_t>(report.ship.failures));
-    ship.set("retargets", static_cast<std::uint64_t>(report.ship.retargets));
-    ship.set("store_rows_resynced",
-             static_cast<std::uint64_t>(report.ship.store_rows_resynced));
-    response.set("ship", std::move(ship));
-  }
-  {
-    // Quota block: aggregate shed/pushback counters plus one row per
-    // named tenant, so the router can merge fairness state cluster-wide.
-    Json quotas = Json::object();
-    quotas.set("enabled", report.quotas.enabled);
-    quotas.set("queue_depth",
-               static_cast<std::uint64_t>(report.quotas.queue_depth));
-    quotas.set("queued", static_cast<std::uint64_t>(report.quotas.queued));
-    quotas.set("granted", static_cast<std::uint64_t>(report.quotas.granted));
-    quotas.set("timeouts",
-               static_cast<std::uint64_t>(report.quotas.timeouts));
-    quotas.set("shed_anonymous",
-               static_cast<std::uint64_t>(report.quotas.shed_anonymous));
-    quotas.set("shed_over_quota",
-               static_cast<std::uint64_t>(report.quotas.shed_over_quota));
-    quotas.set("shed_queue_full",
-               static_cast<std::uint64_t>(report.quotas.shed_queue_full));
-    quotas.set("tell_pushbacks",
-               static_cast<std::uint64_t>(report.quotas.tell_pushbacks));
-    Json tenants = Json::array();
-    for (const StatusReport::TenantStatus& row : report.quotas.tenants) {
-      Json entry = Json::object();
-      entry.set("tenant", row.tenant);
-      entry.set("sessions", static_cast<std::uint64_t>(row.sessions));
-      entry.set("inflight_tells",
-                static_cast<std::uint64_t>(row.inflight_tells));
-      entry.set("queued", static_cast<std::uint64_t>(row.queued));
-      tenants.push_back(std::move(entry));
-    }
-    quotas.set("tenants", std::move(tenants));
-    response.set("quotas", std::move(quotas));
+    report.store_records = stats.records;
+    report.store_tenants = stats.tenants;
+    report.store_io_errors = stats.io_errors;
   }
   const bool stopping = frames_.stopping();
   {
     repro::MutexLock lock(mutex_);
-    response.set("role", standby_ ? "standby" : "primary");
-    response.set("promotions", static_cast<std::uint64_t>(promotions_));
-    response.set("demotions", static_cast<std::uint64_t>(demotions_));
-    response.set("draining", draining_ || stopping);
+    report.role = standby_ ? "standby" : "primary";
+    report.promotions = promotions_;
+    report.demotions = demotions_;
+    report.draining = draining_ || stopping;
   }
   const ConnectionCounters counts = connections();
-  response.set("active_connections", static_cast<std::uint64_t>(counts.active));
-  response.set("connections_accepted", static_cast<std::uint64_t>(counts.accepted));
-  response.set("connections_reaped", static_cast<std::uint64_t>(counts.reaped));
-  response.set("connections_refused", static_cast<std::uint64_t>(counts.refused));
-  Json sessions = Json::array();
-  for (const SessionInfo& info : manager_->sessions()) {
-    Json entry = Json::object();
-    entry.set("id", info.id);
-    entry.set("algorithm", info.algorithm);
-    entry.set("budget", static_cast<std::uint64_t>(info.budget));
-    entry.set("asks", static_cast<std::uint64_t>(info.asks));
-    entry.set("tells", static_cast<std::uint64_t>(info.tells));
-    entry.set("finished", info.finished);
-    entry.set("idle_ms", static_cast<std::uint64_t>(info.idle.count()));
-    sessions.push_back(std::move(entry));
-  }
-  response.set("sessions", std::move(sessions));
+  report.active_connections = counts.active;
+  report.connections_accepted = counts.accepted;
+  report.connections_reaped = counts.reaped;
+  report.connections_refused = counts.refused;
+  report.sessions = manager_->sessions();
+  Json response = make_ok();
+  encode_report(report, response);
   return response;
 }
 

@@ -1023,8 +1023,9 @@ std::vector<SessionInfo> SessionManager::sessions() const {
       // No search yet: the journal's view of a followed session.
       info.asks = info.tells = managed->unreplayed.size();
     }
-    info.idle = std::chrono::duration_cast<std::chrono::milliseconds>(
-        now - managed->last_activity);
+    info.idle_ms = static_cast<std::size_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(now - managed->last_activity)
+            .count());
     infos.push_back(std::move(info));
   }
   return infos;

@@ -109,11 +109,26 @@ struct RecoveryStats {
   std::size_t evicted_tombstones = 0;  ///< eviction record, id tombstoned
 };
 
-/// Aggregate counters for the `status` endpoint. Tallies classify every
-/// tell() by its EvalStatus — the service-level view of the PR-1 failure
-/// accounting (per-session Evaluator counters additionally ride on each
-/// `result` response).
+/// One live session snapshot (status endpoint detail rows).
+struct SessionInfo {
+  std::string id;
+  std::string algorithm;
+  std::size_t budget = 0;
+  std::size_t asks = 0;
+  std::size_t tells = 0;
+  bool finished = false;
+  std::size_t idle_ms = 0;
+};
+
+/// The `status` reply (its wire table is in status_codec.cpp). Tallies
+/// classify every tell() by its EvalStatus — the service-level view of the
+/// PR-1 failure accounting (per-session Evaluator counters additionally ride
+/// on each `result` response). SessionManager::status() fills the session,
+/// durability, replication and quota state; the server fills its identity,
+/// the store summary, its role and connection counts and the session rows.
 struct StatusReport {
+  std::string server;  ///< the daemon's name
+  std::size_t version = kProtocolVersion;
   std::size_t live_sessions = 0;
   std::size_t opened = 0;
   std::size_t closed = 0;
@@ -126,6 +141,9 @@ struct StatusReport {
   std::size_t store_errors = 0;     ///< results-store appends that failed
   bool wal_enabled = false;
   bool store_enabled = false;       ///< a results store is attached
+  std::size_t store_records = 0;    ///< live records in the results store
+  std::size_t store_tenants = 0;    ///< its distinct tenant keys
+  std::uint64_t store_io_errors = 0;  ///< its failed log writes
   RecoveryStats recovery;  ///< from the last recover() call
   tuner::FailureCounters tallies;
   /// Replication state (meaningful only when ship_enabled).
@@ -133,7 +151,7 @@ struct StatusReport {
   bool ship_connected = false;  ///< false while enabled = shard is degraded
   bool ship_fenced = false;     ///< follower was promoted; this shard is stale
   ShipState ship_state = ShipState::kDisabled;
-  std::string ship_target;  ///< "host:port" currently shipped to ("" = none)
+  std::optional<std::string> ship_target;  ///< "host:port" currently shipped to
   ShipCounters ship;
   /// Per-tenant quota / admission state.
   struct TenantStatus {
@@ -155,17 +173,15 @@ struct StatusReport {
     std::vector<TenantStatus> tenants;  ///< sorted by tenant name
   };
   QuotaReport quotas;
-};
-
-/// One live session snapshot (status endpoint detail rows).
-struct SessionInfo {
-  std::string id;
-  std::string algorithm;
-  std::size_t budget = 0;
-  std::size_t asks = 0;
-  std::size_t tells = 0;
-  bool finished = false;
-  std::chrono::milliseconds idle{0};
+  std::string role;  ///< "primary" or "standby"
+  std::size_t promotions = 0;
+  std::size_t demotions = 0;
+  bool draining = false;
+  std::size_t active_connections = 0;
+  std::size_t connections_accepted = 0;
+  std::size_t connections_reaped = 0;   ///< closed by the idle timeout
+  std::size_t connections_refused = 0;  ///< turned away by max_connections
+  std::vector<SessionInfo> sessions;
 };
 
 class SessionManager {

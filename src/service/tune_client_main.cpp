@@ -20,6 +20,9 @@
 #include "common/rng.hpp"
 #include "harness/context.hpp"
 #include "service/client.hpp"
+#include "service/session_manager.hpp"
+#include "service/status_codec.hpp"
+#include "store/results_store.hpp"
 #include "tuner/registry.hpp"
 
 namespace {
@@ -187,51 +190,39 @@ int main(int argc, char** argv) {
 
   if (cli.get_flag("store-stats")) {
     try {
-      const Json stats = client.store_stats();
-      const Json* enabled = stats.find("store_enabled");
-      if (enabled == nullptr || !enabled->as_bool()) {
+      const Json reply = client.store_stats();
+      const store::StoreStats stats = service::decode_report<store::StoreStats>(reply);
+      if (!stats.enabled) {
         std::printf("results store: disabled (start tuned with --store-dir)\n");
         client.disconnect();
         return 0;
       }
-      const auto count = [&stats](const char* key) -> unsigned long long {
-        const Json* field = stats.find(key);
-        return field == nullptr ? 0ULL
-                                : static_cast<unsigned long long>(field->as_uint64());
+      const auto count = [](std::uint64_t value) {
+        return static_cast<unsigned long long>(value);
       };
-      const Json* dir = stats.find("dir");
+      // A router's reply sums its shards: no dir, and digests per shard.
       std::printf("results store: %s\n",
-                  dir != nullptr ? dir->as_string().c_str()
-                                 : "(aggregated across shards)");
-      std::printf("  live records   %llu across %llu tenants\n", count("records"),
-                  count("tenants"));
+                  stats.dir.empty() ? "(aggregated across shards)" : stats.dir.c_str());
+      std::printf("  live records   %llu across %llu tenants\n", count(stats.records),
+                  count(stats.tenants));
       std::printf("  appends        %llu new, %llu deduplicated, %llu rejected\n",
-                  count("appends"), count("duplicates"), count("rejected"));
+                  count(stats.appends), count(stats.duplicates), count(stats.rejected));
       std::printf("  log            %llu lines, %llu bytes, %llu compactions\n",
-                  count("log_records"), count("log_bytes"), count("compactions"));
-      std::printf("  evictions      %llu (capacity FIFO)\n", count("evictions"));
-      std::printf("  io errors      %llu\n", count("io_errors"));
-      std::printf("  last load      %llu records%s\n", count("loaded_records"),
-                  stats.find("torn_tail") != nullptr &&
-                          stats.find("torn_tail")->as_bool()
-                      ? " (torn tail dropped)"
-                      : "");
-      if (stats.find("digest") != nullptr) {
-        std::printf("  digest         %016llx\n", count("digest"));
-      } else if (const Json* shards = stats.find("shards");
+                  count(stats.log_records), count(stats.log_bytes), count(stats.compactions));
+      std::printf("  evictions      %llu (capacity FIFO)\n", count(stats.evictions));
+      std::printf("  io errors      %llu\n", count(stats.io_errors));
+      std::printf("  last load      %llu records%s\n", count(stats.loaded_records),
+                  stats.torn_tail ? " (torn tail dropped)" : "");
+      if (!stats.dir.empty()) {
+        std::printf("  digest         %016llx\n", count(stats.digest));
+      } else if (const Json* shards = reply.find("shards");
                  shards != nullptr && shards->is_array()) {
-        // Router-aggregated reply: digests are per shard (order-sensitive,
-        // so a cluster-wide one would be meaningless).
+        // Digests are order-sensitive, so a cluster-wide one would be
+        // meaningless; the router lists its shards in index order.
+        std::size_t index = 0;
         for (const Json& shard : shards->as_array()) {
-          const Json* index = shard.find("shard");
-          const Json* digest = shard.find("digest");
-          std::printf("  digest         shard %llu: %016llx\n",
-                      index == nullptr
-                          ? 0ULL
-                          : static_cast<unsigned long long>(index->as_uint64()),
-                      digest == nullptr
-                          ? 0ULL
-                          : static_cast<unsigned long long>(digest->as_uint64()));
+          std::printf("  digest         shard %zu: %016llx\n", index++,
+                      count(service::decode_report<store::StoreStats>(shard).digest));
         }
       }
     } catch (const std::exception& error) {
@@ -343,13 +334,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const Json status = client.status();
-  const Json* tells = status.find("tells");
-  std::printf("daemon: %zu sessions opened, %llu tells served\n",
-              static_cast<std::size_t>(status.find("opened")->as_uint64()),
-              tells != nullptr
-                  ? static_cast<unsigned long long>(tells->as_uint64())
-                  : 0ULL);
+  const auto status = service::decode_report<service::StatusReport>(client.status());
+  std::printf("daemon: %zu sessions opened, %zu tells served\n", status.opened, status.tells);
   if (csv != nullptr) std::fclose(csv);
   client.disconnect();
   if (cli.get_flag("verify") && !all_verified) {

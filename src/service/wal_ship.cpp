@@ -5,6 +5,7 @@
 
 #include "common/log.hpp"
 #include "service/session_wal.hpp"
+#include "service/status_codec.hpp"
 
 namespace repro::service {
 
@@ -323,8 +324,8 @@ bool WalShipper::store_digest_gate() {
   // re-ship so tell-derived rows are already on both sides.
   const std::optional<Json> reply = call(op_frame(Op::kStoreStats));
   if (!reply || !is_ok(*reply)) return false;
-  const Json* enabled = reply->find("store_enabled");
-  if (enabled == nullptr || !enabled->is_bool() || !enabled->as_bool()) {
+  const store::StoreStats theirs = decode_report<store::StoreStats>(*reply);
+  if (!theirs.enabled) {
     // Journal-only follower: nothing to gate on (it cannot diverge on a
     // store it does not have). Promotion from it loses store history — the
     // operator chose that by running it storeless.
@@ -333,18 +334,15 @@ bool WalShipper::store_digest_gate() {
              config_.host, config_.port);
     return true;
   }
-  const Json* digest = reply->find("digest");
-  const std::uint64_t theirs =
-      digest != nullptr && digest->is_number() ? digest->as_uint64() : 0;
   const std::uint64_t ours = store_->digest();
-  if (theirs != ours) {
+  if (theirs.digest != ours) {
     // A concurrent tell may have reached our store after the snapshot page
     // that covered its tenant; the retry's resync re-ships and converges.
     // A *persistent* mismatch means real divergence (or mismatched store
     // capacities) and the follower must never flip hot.
     log_warn("wal_ship: store digest mismatch with {}:{} (ours {}, theirs "
              "{}); follower stays catching up",
-             config_.host, config_.port, ours, theirs);
+             config_.host, config_.port, ours, theirs.digest);
     return false;
   }
   return true;

@@ -447,6 +447,8 @@ std::size_t ResultsStore::import_tenants(const std::vector<TenantSnapshot>& tena
 
 StoreStats ResultsStore::stats() const {
   StoreStats stats;
+  stats.enabled = true;
+  stats.dir = options_.dir;
   {
     MutexLock lock(log_mutex_);
     stats.records = live_records_;

@@ -108,7 +108,10 @@ struct StoreOptions {
   std::size_t compact_slack = 1024;
 };
 
+/// The `store_stats` reply (its wire table is in service/status_codec.cpp).
 struct StoreStats {
+  bool enabled = false;          ///< false: the daemon has no results store
+  std::string dir;               ///< the store's directory
   std::size_t records = 0;       ///< live records across all tenants
   std::size_t tenants = 0;       ///< distinct (benchmark, arch, space) keys
   std::uint64_t appends = 0;     ///< append() calls that stored a new record
@@ -121,6 +124,8 @@ struct StoreStats {
   std::uint64_t log_bytes = 0;
   std::size_t loaded_records = 0;  ///< records recovered by load()
   bool torn_tail = false;          ///< load() dropped a torn final line
+  /// ResultsStore::digest(); stats() leaves it 0, since it reads every row.
+  std::uint64_t digest = 0;
 };
 
 class ResultsStore {

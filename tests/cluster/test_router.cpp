@@ -136,6 +136,73 @@ TEST(Router, AggregatedStatusSumsShardsAndReportsHealth) {
   for (const std::string& id : ids) client.close_session(id);
 }
 
+TEST(Router, AggregatedStatusMergesTenantsAndSumsQuotaAndStoreCounters) {
+  // Each shard holds one session of the named tenant "acme" and sheds a
+  // second one over its per-tenant quota; each store holds its own rows.
+  const std::string dir = fresh_dir();
+  const auto shard_config = [&dir](const std::string& name) {
+    ServerConfig config;
+    config.store_dir = dir + "/" + name;
+    config.limits.quotas.max_sessions_per_tenant = 1;
+    return config;
+  };
+  TuneServer shard0(shard_config("s0-store"));
+  TuneServer shard1(shard_config("s1-store"));
+  shard0.start();
+  shard1.start();
+  for (TuneServer* shard : {&shard0, &shard1}) {
+    ClientConfig config = service_test::client_config(shard->port());
+    config.tenant = "acme";
+    Client acme(config);
+    (void)acme.open(tiny_open("rs", 8, 300));
+    EXPECT_THROW((void)acme.open(tiny_open("rs", 8, 301)), ProtocolError);
+  }
+  const store::StoreKey key{"conv", "arch0", "ffffffffffffffff"};
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(shard0.store()->append(key, {i, 1}, 1.0, true));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(shard1.store()->append(key, {i, 2}, 2.0, true));
+
+  RouterConfig config;
+  config.shards = {{"127.0.0.1", shard0.port(), "127.0.0.1", 0},
+                   {"127.0.0.1", shard1.port(), "127.0.0.1", 0}};
+  config.probe_interval = std::chrono::milliseconds(0);
+  config.probe_timeout = std::chrono::milliseconds(500);
+  Router router(config);
+  router.start();
+  Client client(resilient_config(router.port()));
+  const Json status = client.status();
+  EXPECT_EQ(status.find("live_sessions")->as_uint64(), 2u);
+  const Json& quotas = *status.find("quotas");
+  EXPECT_TRUE(quotas.find("enabled")->as_bool());
+  EXPECT_EQ(quotas.find("shed_over_quota")->as_uint64(), 2u);
+  const Json::Array& tenants = quotas.find("tenants")->as_array();
+  ASSERT_EQ(tenants.size(), 1u) << "one tenant across shards is one row";
+  EXPECT_EQ(tenants[0].find("tenant")->as_string(), "acme");
+  EXPECT_EQ(tenants[0].find("sessions")->as_uint64(), 2u);
+  EXPECT_EQ(tenants[0].find("inflight_tells")->as_uint64(), 0u);
+  EXPECT_EQ(tenants[0].find("queued")->as_uint64(), 0u);
+
+  const Json stats = client.store_stats();
+  EXPECT_TRUE(stats.find("store_enabled")->as_bool());
+  EXPECT_EQ(stats.find("records")->as_uint64(), 5u);
+  EXPECT_EQ(stats.find("appends")->as_uint64(), 5u);
+  EXPECT_EQ(stats.find("tenants")->as_uint64(), 2u);
+  EXPECT_EQ(stats.find("shards")->as_array().size(), 2u);
+  router.stop();
+
+  // store_enabled is true when any shard has a store, wherever it sits.
+  TuneServer storeless;
+  storeless.start();
+  config.shards = {{"127.0.0.1", storeless.port(), "127.0.0.1", 0},
+                   {"127.0.0.1", shard0.port(), "127.0.0.1", 0}};
+  Router mixed(config);
+  mixed.start();
+  Client mixed_client(resilient_config(mixed.port()));
+  const Json mixed_stats = mixed_client.store_stats();
+  EXPECT_TRUE(mixed_stats.find("store_enabled")->as_bool());
+  EXPECT_EQ(mixed_stats.find("records")->as_uint64(), 2u);
+  mixed.stop();
+}
+
 TEST(Router, StoreExportPagesAcrossShardsWithACompositeCursor) {
   // Store-configured shards, each holding a distinct tenant: the router's
   // "<shard>|<cursor>" paging must resume mid-shard, cross the shard
@@ -200,6 +267,16 @@ TEST(Router, StoreExportPagesAcrossShardsWithACompositeCursor) {
     } catch (const ProtocolError& error) {
       EXPECT_EQ(error.code, ErrorCode::kBadRequest) << bad;
     }
+  }
+  // tunelb forwards a limit of 0 and hands back the shard's refusal.
+  Json zero = Json::object();
+  zero.set("op", "store_export");
+  zero.set("limit", std::uint64_t{0});
+  try {
+    (void)client.call(zero);
+    ADD_FAILURE() << "store_export with limit 0 was accepted";
+  } catch (const ProtocolError& error) {
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest);
   }
 
   // Re-importing the paged union into one shard dedups to the same rows.

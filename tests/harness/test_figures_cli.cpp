@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/cli.hpp"
 #include "harness/figures.hpp"
+#include "harness/results_io.hpp"
 
 namespace repro::harness {
 namespace {
@@ -109,6 +111,37 @@ TEST(FiguresCli, FigureMainExitsOneOnUnusableNumbers) {
     const char* argv[] = {"fig2", flag, value};
     EXPECT_EQ(run_figure_main(3, argv, Figure::kFig2), 1) << flag << " " << value;
   }
+}
+
+TEST(FiguresCli, Fig4WithoutRandomSearchExitsOneBeforeAnyWork) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string checkpoint = (dir / "repro_fig4_no_rs.ckpt").string();
+  const std::string raw = (dir / "repro_fig4_no_rs.csv").string();
+  std::filesystem::remove(checkpoint);
+  StudyResults results;
+  results.config.benchmarks = {"add"};
+  results.config.architectures = {"titanv"};
+  results.config.algorithms = {"ga"};
+  results.config.sample_sizes = {25};
+  PanelResults panel;
+  panel.benchmark = "add";
+  panel.architecture = "titanv";
+  panel.optimum_us = 100.0;
+  panel.cells = {{CellOutcomes{}}};
+  panel.cells[0][0].final_times_us = {120.0, 130.0};
+  results.panels.push_back(std::move(panel));
+  ASSERT_TRUE(save_results_csv(results, raw));
+
+  for (const Figure figure : {Figure::kFig4a, Figure::kFig4b}) {
+    const char* campaign[] = {"fig4", "--algo",  "ga,bogp", "--bench", "add",
+                              "--arch", "titanv", "--sizes", "10",      "--resume",
+                              checkpoint.c_str()};
+    EXPECT_EQ(run_figure_main(11, campaign, figure), 1);
+    EXPECT_FALSE(std::filesystem::exists(checkpoint)) << "a campaign ran";
+    const char* from_raw[] = {"fig4", "--from-raw", raw.c_str()};
+    EXPECT_EQ(run_figure_main(3, from_raw, figure), 1);
+  }
+  std::filesystem::remove(raw);
 }
 
 }  // namespace

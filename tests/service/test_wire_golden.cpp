@@ -451,6 +451,90 @@ TEST(WireGolden, StatusKeyOrderAndValueTypesArePinned) {
   shard.stop();
 }
 
+TEST(WireGolden, StatusOfAShippingPairAndADeadShardIsPinned) {
+  // A durable primary with a results store and a hot ship link to its
+  // durable standby, behind a router whose second shard refuses
+  // connections. Pins the blocks the store- and ship-less daemon above
+  // never emits: wal_errors, recovery, store, the ship* fields, and the
+  // router's probe_error row.
+  const std::string dir = fresh_dir();
+  ServerConfig standby_config = daemon_config();
+  standby_config.standby = true;
+  standby_config.limits.state_dir = dir + "/standby";
+  standby_config.store_dir = dir + "/standby-store";
+  TuneServer standby(standby_config);
+  standby.start();
+  ServerConfig primary_config = daemon_config();
+  primary_config.limits.state_dir = dir + "/primary";
+  primary_config.store_dir = dir + "/primary-store";
+  primary_config.limits.ship.port = standby.port();
+  TuneServer primary(primary_config);
+  primary.start();
+  ASSERT_EQ(primary.sessions().ship_state(), ShipState::kHot);
+  RouterConfig router_config = one_shard(primary.port());
+  router_config.shards[0].standby_port = standby.port();
+  router_config.shards.push_back({"127.0.0.1", 1, "127.0.0.1", 0});
+  Router router(router_config);
+  router.start();
+
+  const std::string hello = R"({"op":"hello","version":1,"client":"golden","tenant":"acme"})";
+  Wire to_primary(primary.port());
+  Wire to_standby(standby.port());
+  Wire routed(router.port());
+  EXPECT_EQ(to_primary.exchange(hello).substr(0, 11), R"({"ok":true,)");
+  EXPECT_EQ(to_standby.exchange(hello).substr(0, 11), R"({"ok":true,)");
+  EXPECT_EQ(routed.exchange(hello).substr(0, 11), R"({"ok":true,)");
+  EXPECT_EQ(to_primary.exchange(kOpen), R"({"ok":true,"session":"s1"})");
+
+  const std::string head =
+      "{ok:bool,server:string,version:number,live_sessions:number,opened:number,"
+      "closed:number,evicted:number,finished:number,asks:number,tells:number,"
+      "duplicate_tells:number,tallies:{ok:number,invalid:number,transient:number,"
+      "timeout:number,crashed:number,retries:number,retry_successes:number,"
+      "backoff_us:number},wal_enabled:bool,wal_errors:number,"
+      "recovery:{sessions_recovered:number,tells_replayed:number,sessions_failed:number,"
+      "torn_tails:number,closed_discarded:number,evicted_tombstones:number},"
+      "store_enabled:bool,store:{records:number,tenants:number,append_errors:number,"
+      "io_errors:number},ship_enabled:bool,ship_state:string,";
+  const std::string ship =
+      "ship_connected:bool,ship_fenced:bool,ship_target:string,ship:{records_shipped:number,"
+      "duplicates_acked:number,resyncs:number,reconnects:number,failures:number,"
+      "retargets:number,store_rows_resynced:number},";
+  const std::string quotas =
+      "quotas:{enabled:bool,queue_depth:number,queued:number,granted:number,"
+      "timeouts:number,shed_anonymous:number,shed_over_quota:number,"
+      "shed_queue_full:number,tell_pushbacks:number,tenants:";
+  const std::string tenant_rows = "[{tenant:string,sessions:number,inflight_tells:number,queued:number}]";
+  const std::string tail =
+      "},role:string,promotions:number,demotions:number,draining:bool,"
+      "active_connections:number,connections_accepted:number,connections_reaped:number,"
+      "connections_refused:number,sessions:[{id:string,algorithm:string,budget:number,"
+      "asks:number,tells:number,finished:bool,idle_ms:number}]}";
+  const std::string primary_status = head + ship + quotas + tenant_rows + tail;
+  EXPECT_EQ(shape(Json::parse(to_primary.exchange(R"({"op":"status"})"))), primary_status);
+  // The standby follows the session, tenant row included, and has no ship
+  // link of its own.
+  EXPECT_EQ(shape(Json::parse(to_standby.exchange(R"({"op":"status"})"))),
+            head + quotas + tenant_rows + tail);
+
+  const Json aggregated = Json::parse(routed.exchange(R"({"op":"status"})"));
+  EXPECT_EQ(shape(aggregated),
+            "{ok:bool,server:string,version:number,role:string,shards:[{index:number,"
+            "endpoint:string,health:string,has_standby:bool,promotions:number,"
+            "reseeds:number,sessions_placed:number,status:" +
+                primary_status +
+                "}],live_sessions:number,opened:number,closed:number,"
+                "evicted:number,finished:number,asks:number,tells:number,"
+                "duplicate_tells:number," +
+                quotas + tenant_rows + "},reroutes:number,active_connections:number}");
+  const Json& dead = aggregated.find("shards")->as_array().at(1);
+  EXPECT_EQ(dead.dump(),
+            R"({"index":1,"endpoint":"127.0.0.1:1","health":"up","has_standby":false,"promotions":0,"reseeds":0,"sessions_placed":0,"probe_error":"status call failed"})");
+  router.stop();
+  primary.stop();
+  standby.stop();
+}
+
 std::string hello_of(const std::string& client) {
   return R"({"op":"hello","version":1,"client":")" + client + R"("})";
 }

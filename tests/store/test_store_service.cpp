@@ -183,6 +183,18 @@ TEST(StoreService, ExportPagesOverTheWireWithCursors) {
       EXPECT_EQ(error.code, ErrorCode::kBadRequest) << bad;
     }
   }
+
+  // A limit of 0 would lift the page cap; the daemon refuses it (Client
+  // never sends one, so ask over the raw op).
+  Json zero = Json::object();
+  zero.set("op", "store_export");
+  zero.set("limit", std::uint64_t{0});
+  try {
+    (void)client.call(zero);
+    ADD_FAILURE() << "store_export with limit 0 was accepted";
+  } catch (const ProtocolError& error) {
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+  }
   client.disconnect();
   server.stop();
 }

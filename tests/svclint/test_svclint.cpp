@@ -4,8 +4,9 @@
 // and the JSON report schema stays parseable and versioned.
 //
 // Fixture corpora live under fixtures/{bad,suppressed,clean}; each holds
-// the same file roster (store/server/session_manager/protocol.* plus api.md
-// and a lock_order.txt) so the three runs differ only in hazards and NOLINTs.
+// the same file roster (store/server/session_manager/protocol.*/status_codec
+// plus api.md and a lock_order.txt) so the three runs differ only in hazards
+// and NOLINTs.
 
 #include <gtest/gtest.h>
 
@@ -46,7 +47,7 @@ SourceFile load(const char* corpus, const char* name) {
 Report lint_corpus_dir(const char* corpus) {
   std::vector<SourceFile> sources;
   for (const char* name : {"store.cpp", "server.cpp", "session_manager.cpp",
-                           "protocol.hpp", "protocol.cpp"}) {
+                           "protocol.hpp", "protocol.cpp", "status_codec.cpp"}) {
     sources.push_back(load(corpus, name));
   }
   const std::vector<SourceFile> docs = {load(corpus, "api.md")};
@@ -75,8 +76,8 @@ TEST(Svclint, BadCorpusTripsEveryRuleFamily) {
         << "rule never fired: " << rule;
   }
   EXPECT_EQ(report.suppressed, 0u);
-  // 5 sources + 1 doc.
-  EXPECT_EQ(report.files_scanned, 6u);
+  // 6 sources + 1 doc.
+  EXPECT_EQ(report.files_scanned, 7u);
   for (const Finding& finding : report.findings) {
     EXPECT_GT(finding.line, 0) << finding.rule;
     EXPECT_FALSE(finding.snippet.empty()) << finding.rule;
@@ -93,13 +94,14 @@ TEST(Svclint, BadCorpusFindsTheSeededHazards) {
   // resync ack in session_manager.cpp, never the post-barrier ones.
   EXPECT_EQ(counts.at("svclint-durability"), 2);
   // Wire drift: ghost error code, undocumented-field and off-table-op doc
-  // entries.
-  EXPECT_EQ(counts.at("svclint-wire-drift"), 3);
+  // entries, and a field-table row the doc leaves out.
+  EXPECT_EQ(counts.at("svclint-wire-drift"), 4);
 
   bool cycle = false;
   bool inversion = false;
   bool ghost_code = false;
   bool off_table_op = false;
+  bool undocumented_row = false;
   for (const Finding& finding : report.findings) {
     if (finding.message.find("lock-order cycle") != std::string::npos) {
       cycle = true;
@@ -114,11 +116,16 @@ TEST(Svclint, BadCorpusFindsTheSeededHazards) {
         std::string::npos) {
       off_table_op = true;
     }
+    if (finding.message.find("\"hidden_counter\" is missing from the documented") !=
+        std::string::npos) {
+      undocumented_row = true;
+    }
   }
   EXPECT_TRUE(cycle);
   EXPECT_TRUE(inversion);
   EXPECT_TRUE(ghost_code);
   EXPECT_TRUE(off_table_op);
+  EXPECT_TRUE(undocumented_row);
 }
 
 TEST(Svclint, SuppressedCorpusIsCleanAndCounted) {
@@ -127,8 +134,9 @@ TEST(Svclint, SuppressedCorpusIsCleanAndCounted) {
       << report.findings.front().rule << " leaked at "
       << report.findings.front().file << ":" << report.findings.front().line;
   // One suppression per family hazard: lock inversion, early ack, quota
-  // pushback reply, reserved error code, reserved doc field.
-  EXPECT_EQ(report.suppressed, 5u);
+  // pushback reply, reserved error code, reserved doc field, draft
+  // field-table row.
+  EXPECT_EQ(report.suppressed, 6u);
 }
 
 TEST(Svclint, CleanCorpusHasNothingToSay) {

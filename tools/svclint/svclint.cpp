@@ -633,6 +633,22 @@ void check_wire_drift(const Corpus& corpus,
     }
   }
 
+  // Wire names of the status and store_stats field tables
+  // (status_codec.cpp): every row opens with `Field{"wire_name", ...` or, for
+  // a nested object, `Block{"wire_name", ...`.
+  std::vector<std::pair<std::string, EdgeSite>> table_fields;
+  for (std::size_t fi = 0; fi < corpus.files.size(); ++fi) {
+    const File& f = corpus.files[fi];
+    if (f.basename != "status_codec.cpp") continue;
+    const auto& t = f.lx.tokens;
+    for (std::size_t i = 0; i + 3 < t.size(); ++i) {
+      if (is_ident(t, i) && (t[i].text == "Field" || t[i].text == "Block") &&
+          is(t, i + 1, "{") && t[i + 2].kind == TokKind::kString && is(t, i + 3, ",")) {
+        table_fields.emplace_back(t[i + 2].text, EdgeSite{fi, t[i + 2].line});
+      }
+    }
+  }
+
   // ErrorCode enum members (protocol.hpp) with their declaration lines.
   std::map<std::string, EdgeSite> codes;
   for (std::size_t fi = 0; fi < corpus.files.size(); ++fi) {
@@ -738,9 +754,11 @@ void check_wire_drift(const Corpus& corpus,
   // Check 2: documented schema must exist in the sources — every fenced
   // "field": / "field"? key somewhere as a string literal, every documented
   // op a row of the op table (checked whenever protocol.cpp is scanned).
+  std::set<std::string> documented;
   for (const SourceFile& doc : docs) {
     ++report.files_scanned;
     const DocFile scanned = scan_doc(doc, "svclint");
+    for (const auto& [field, line] : scanned.fields) documented.insert(field);
     for (const auto& [field, line] : scanned.fields) {
       if (source_strings.count(field) != 0) continue;
       lintcore::emit(scanned.path, scanned.pseudo, line, "svclint-wire-drift",
@@ -756,6 +774,19 @@ void check_wire_drift(const Corpus& corpus,
                      "documented op \"" + op + "\" is not a row of the op table",
                      options.allow, report);
     }
+  }
+
+  // Check 3, the reverse of check 2: every wire name a field table declares
+  // must appear in a fenced schema block of the docs (checked whenever docs
+  // are scanned).
+  if (docs.empty()) return;
+  for (const auto& [field, site] : table_fields) {
+    if (documented.count(field) != 0) continue;
+    const File& f = corpus.files[site.file];
+    lintcore::emit(f.path, f.lx, site.line, "svclint-wire-drift",
+                   "field-table row \"" + field +
+                       "\" is missing from the documented schema blocks",
+                   options.allow, report);
   }
 }
 

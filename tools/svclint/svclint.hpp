@@ -22,13 +22,14 @@
 //                        fsync/fdatasync or a call reaching one (name-based
 //                        call-graph closure). Functions with no barrier at
 //                        all (pure network plumbing) are exempt.
-//   svclint-wire-drift   The op table and error codes of protocol.cpp and
-//                        the schema blocks in docs/SERVICE.md must agree:
-//                        every documented op a row of the op table, every
+//   svclint-wire-drift   The op table and error codes of protocol.cpp, the
+//                        field tables of status_codec.cpp and the schema
+//                        blocks in docs/SERVICE.md must agree: every
+//                        documented op a row of the op table, every
 //                        documented field present in the sources, every
-//                        ErrorCode round-tripping through
-//                        to_string/error_code_from and referenced outside
-//                        protocol.*.
+//                        field-table row documented, every ErrorCode
+//                        round-tripping through to_string/error_code_from
+//                        and referenced outside protocol.*.
 //
 // Known analysis limits (documented in docs/ANALYSIS.md): calls are matched
 // by name, so member calls whose name collides with a standard-library
