@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <span>
 #include <vector>
 
@@ -12,6 +13,7 @@
 namespace {
 
 using repro::tuner::GpHyperparams;
+using repro::tuner::GpPrediction;
 using repro::tuner::GpRegressor;
 
 struct TrainingSet {
@@ -84,6 +86,32 @@ void BM_GpPredict(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_GpPredict)->Arg(25)->Arg(100)->Arg(200)->Complexity();
+
+// BO GP's scoring path: one predict_batch call over a block of kBatchLanes
+// candidates. The manual time is per candidate, so real_time reads directly
+// against BM_GpPredict; cpu_time stays per block.
+void BM_GpPredictBatch(benchmark::State& state) {
+  const auto set = make_training_set(static_cast<std::size_t>(state.range(0)));
+  GpRegressor gp(GpHyperparams{0.3, 1.0, 1e-2});
+  (void)gp.fit(set.x, set.y);
+  constexpr std::size_t kLanes = GpRegressor::kBatchLanes;
+  std::vector<std::vector<double>> queries;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const double t = static_cast<double>(l) / kLanes;
+    queries.push_back({0.1 + t * 0.8, 0.9 - t * 0.5, 0.5, 0.3 + t * 0.2, 0.7, 0.2 + t * 0.6});
+  }
+  std::vector<GpPrediction> out(kLanes);
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    gp.predict_batch(queries, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(elapsed.count() / kLanes);
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_GpPredictBatch)->Arg(25)->Arg(100)->Arg(200)->UseManualTime()->Complexity();
 
 void BM_GpHyperparamSearch(benchmark::State& state) {
   const auto set = make_training_set(static_cast<std::size_t>(state.range(0)));

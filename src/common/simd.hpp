@@ -13,9 +13,9 @@
 // those inner loops share one audited implementation instead of re-rolling
 // the loop per call site.
 //
-// simd.cpp is compiled with -ffp-contract=off so REPRO_NATIVE's
-// -march=native cannot fuse these loops into FMAs, which would change the
-// rounding and with it every downstream bit.
+// src/ is compiled with -ffp-contract=off so REPRO_NATIVE's -march=native
+// cannot fuse these loops into FMAs, which would change the rounding and
+// with it every downstream bit.
 
 #include <cstddef>
 

@@ -1,9 +1,11 @@
 #include "tuner/gp/bo_gp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <unordered_set>
 
 #include "common/thread_pool.hpp"
@@ -162,10 +164,12 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
 
       // Generation consumes the RNG stream — same draws, same order as the
       // fused loop — and decides eligibility per candidate against the
-      // immutable `proposed` set. Scoring (gp.predict is const and pure)
-      // writes indexed slots from the pool; the reduce walks ascending
-      // indices with a strict `>` — the same argmax the sequential loop
-      // computed, bit for bit.
+      // immutable `proposed` set. Scoring runs on the pool in blocks of
+      // kBatchLanes slots: the eligible candidates of a block go to one
+      // predict_batch call (const, pure, bit-identical to predict) and
+      // write their indexed slots; the reduce walks ascending indices with
+      // a strict `>` — the same argmax the sequential loop computed, bit
+      // for bit.
       std::vector<Configuration> candidates(total);
       std::vector<char> eligible(total, 0);
       std::vector<double> scores(total, -1.0);
@@ -189,15 +193,26 @@ TuneResult BoGp::minimize(const ParamSpace& space, Evaluator& evaluator,
             options_.constraint_aware && !space.is_executable(candidates[i]);
         eligible[i] = static_cast<char>(!blocked_dup && !blocked_constraint);
       };
-      const auto score = [&](std::size_t i) {
-        if (eligible[i] == 0) return;
-        const std::vector<double> x = space.normalize(candidates[i]);
-        const GpPrediction prediction = gp.predict(x);
-        scores[i] = expected_improvement(prediction.mean, prediction.variance,
-                                         incumbent - margin);
+      constexpr std::size_t kLanes = GpRegressor::kBatchLanes;
+      const auto score_block = [&](std::size_t block) {
+        std::array<std::size_t, kLanes> slots{};
+        std::array<GpPrediction, kLanes> predictions{};
+        std::vector<std::vector<double>> xs;
+        xs.reserve(kLanes);
+        for (std::size_t i = block * kLanes; i < std::min(total, (block + 1) * kLanes); ++i) {
+          if (eligible[i] == 0) continue;
+          slots[xs.size()] = i;
+          xs.push_back(space.normalize(candidates[i]));
+        }
+        if (xs.empty()) return;
+        gp.predict_batch(xs, std::span<GpPrediction>(predictions.data(), xs.size()));
+        for (std::size_t j = 0; j < xs.size(); ++j) {
+          scores[slots[j]] = expected_improvement(predictions[j].mean, predictions[j].variance,
+                                                  incumbent - margin);
+        }
       };
       for (std::size_t i = 0; i < total; ++i) generate(i);
-      repro::parallel_for(0, total, score, 16);
+      repro::parallel_for(0, (total + kLanes - 1) / kLanes, score_block, 2);
 
       double best_ei = -1.0;
       const Configuration* chosen = nullptr;

@@ -203,13 +203,15 @@ GpPrediction GpRegressor::predict(std::span<const double> x) const {
   std::vector<double> k_star(n);
   for (std::size_t i = 0; i < n; ++i) k_star[i] = kernel(x, X_[i]);
 
-  GpPrediction out;
   const double mean_std = simd::seq::dot(k_star.data(), alpha_.data(), n);
-  out.mean = mean_std * y_std_ + y_mean_;
-
   std::vector<double> v(n);
   chol_.solve_lower(k_star, v);
-  const double reduction = simd::seq::sum_squares(v.data(), n);
+  return finish_prediction(mean_std, simd::seq::sum_squares(v.data(), n));
+}
+
+GpPrediction GpRegressor::finish_prediction(double mean_std, double reduction) const {
+  GpPrediction out;
+  out.mean = mean_std * y_std_ + y_mean_;
   const double var_std =
       std::max(0.0, hyper_.signal_variance + hyper_.noise_variance - reduction);
   out.variance = var_std * y_std_ * y_std_;

@@ -42,8 +42,25 @@ struct GpPrediction {
   double variance = 0.0;  ///< posterior variance (>= 0), in standardized units
 };
 
+class GpRegressor;
+
+namespace detail {
+
+/// True when the running CPU can run predict_batch's AVX2 body (checked once).
+[[nodiscard]] bool gp_batch_has_avx2() noexcept;
+
+/// predict_batch's AVX2 body for 1..kBatchLanes inputs, exposed so tests run
+/// it whatever the dispatch picks. Requires gp_batch_has_avx2().
+void gp_predict_batch_avx2(const GpRegressor& gp, std::span<const std::vector<double>> xs,
+                           std::span<GpPrediction> out);
+
+}  // namespace detail
+
 class GpRegressor {
  public:
+  /// Candidates predict_batch scores at once, one per SIMD lane.
+  static constexpr std::size_t kBatchLanes = 8;
+
   explicit GpRegressor(GpHyperparams hyper = {}) : hyper_(hyper) {}
 
   /// Fit on normalized inputs and raw targets. Targets are standardized
@@ -54,6 +71,12 @@ class GpRegressor {
   /// Posterior at a normalized input; mean is de-standardized, variance is
   /// reported in (de-standardized) target units squared.
   [[nodiscard]] GpPrediction predict(std::span<const double> x) const;
+
+  /// out[j] = predict(xs[j]), bit for bit, for up to kBatchLanes inputs of
+  /// one dimension, scored at once with the inputs in SIMD lanes (AVX2
+  /// hosts; elsewhere it loops over predict).
+  void predict_batch(std::span<const std::vector<double>> xs,
+                     std::span<GpPrediction> out) const;
 
   /// Log marginal likelihood of the current fit (standardized units).
   [[nodiscard]] double log_marginal_likelihood() const noexcept { return lml_; }
@@ -83,6 +106,10 @@ class GpRegressor {
   [[nodiscard]] std::size_t full_refactorizations() const noexcept { return stat_full_refits_; }
 
  private:
+  friend void detail::gp_predict_batch_avx2(const GpRegressor&,
+                                            std::span<const std::vector<double>>,
+                                            std::span<GpPrediction>);
+
   [[nodiscard]] double kernel(std::span<const double> a, std::span<const double> b) const;
 
   /// Euclidean distance between cached training rows i and j (i > j),
@@ -118,6 +145,10 @@ class GpRegressor {
 
   /// Solve for alpha_ and the LML given the current factor and targets.
   void finish_fit(std::span<const double> y);
+
+  /// predict()'s last step, shared with predict_batch: de-standardize the
+  /// mean dot k*.alpha and the forward solve's sum of squares.
+  [[nodiscard]] GpPrediction finish_prediction(double mean_std, double reduction) const;
 
   GpHyperparams hyper_;
   bool incremental_ = true;

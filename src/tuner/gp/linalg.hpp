@@ -55,6 +55,10 @@ class PackedCholesky {
   [[nodiscard]] double at(std::size_t r, std::size_t c) const noexcept {
     return rows_[r * (r + 1) / 2 + c];
   }
+  /// Row r: L(r, 0..r), contiguous.
+  [[nodiscard]] const double* row(std::size_t r) const noexcept {
+    return rows_.data() + r * (r + 1) / 2;
+  }
 
   /// Append the next row of the underlying SPD matrix: `a_row` holds
   /// A(n, 0..n-1) followed by the diagonal A(n, n) (noise/jitter already

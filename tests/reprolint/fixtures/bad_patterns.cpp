@@ -62,6 +62,12 @@ double bad_simd_reduce(__m512d accumulator) {
   return _mm512_reduce_add_pd(accumulator);
 }
 
+// Explicit fused multiply-add: one rounding where the reference rounds
+// twice. (Fixture only — never compiled.)
+__m256d bad_fused(__m256d a, __m256d b, __m256d c) { return _mm256_fmadd_pd(a, b, c); }
+
+double bad_libm_fma(double a, double b, double c) { return std::fma(a, b, c); }
+
 void bad_raw_thread() {
   std::thread worker([] {});
   worker.join();

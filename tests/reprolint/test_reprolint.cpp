@@ -44,7 +44,8 @@ TEST(Reprolint, RuleSetIsStable) {
       "reprolint-nonportable-random",
       "reprolint-unordered-iteration",
       "reprolint-nondet-reduction",
-      "reprolint-raw-thread"};
+      "reprolint-raw-thread",
+      "reprolint-fused-multiply-add"};
   EXPECT_EQ(reprolint::rule_names(), expected);
 }
 
@@ -145,6 +146,35 @@ TEST(Reprolint, SimdHorizontalReduceFiresAndJustifiedNolintSilences) {
   reprolint::lint_content("src/x.cpp", justified, Options{}, suppressed);
   EXPECT_TRUE(suppressed.findings.empty());
   EXPECT_EQ(suppressed.suppressed, 1u);
+}
+
+TEST(Reprolint, FusedMultiplyAddFiresOnIntrinsicsAndLibmCalls) {
+  // Every explicit FMA spelling fires once on its own line; member calls
+  // and names that merely contain "fma" do not.
+  const std::string src =
+      "a = _mm256_fmadd_pd(x, y, z);\n"
+      "a = _mm_fmsub_sd(x, y, z);\n"
+      "a = _mm512_fnmadd_pd(x, y, z);\n"
+      "a = _mm256_fnmsub_ps(x, y, z);\n"
+      "a = _mm_fmaddsub_pd(x, y, z);\n"
+      "a = _mm256_fmsubadd_pd(x, y, z);\n"
+      "a = _mm512_mask_fmadd_pd(x, m, y, z);\n"
+      "r = std::fma(x, y, z);\n"
+      "r = fma(x, y, z);\n"
+      "r = fmaf(x, y, z);\n"
+      "r = fmal(x, y, z);\n"
+      "r = __builtin_fma(x, y, z);\n"
+      "r = __builtin_fmaf(x, y, z);\n"
+      "r = unit.fma(x, y, z);\n"
+      "r = fma_budget(x) + _mm256_mul_pd(x, y)[0];\n"
+      "const char* s = \"fma(x, y, z)\";\n";
+  Report report;
+  reprolint::lint_content("src/x.cpp", src, Options{}, report);
+  ASSERT_EQ(report.findings.size(), 13u);
+  for (std::size_t i = 0; i < report.findings.size(); ++i) {
+    EXPECT_EQ(report.findings[i].rule, "reprolint-fused-multiply-add");
+    EXPECT_EQ(report.findings[i].line, static_cast<int>(i + 1));
+  }
 }
 
 TEST(Reprolint, UnorderedNamesPropagateAcrossFiles) {

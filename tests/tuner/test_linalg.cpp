@@ -208,6 +208,25 @@ TEST(PackedCholesky, SolvesMatchMatrixSolves) {
   EXPECT_EQ(packed.log_diag_sum(), log_diag_sum(full));
 }
 
+TEST(PackedCholesky, ForwardSolveRoundsProductAndDifferenceSeparately) {
+  // L = [[1, 0], [1 + 2^-30, 1]]. The product L(1,0) * x0 = (1 + 2^-30)^2
+  // rounds to 1 + 2^-29, so b1 - L(1,0) * x0 is exactly 0. A build that
+  // contracts the multiply and subtract into one FMA keeps the product's
+  // 2^-60 and returns -2^-60: this pins the unfused rounding that every
+  // committed figure was computed with.
+  const double t = std::ldexp(1.0, -30);
+  PackedCholesky chol;
+  ASSERT_TRUE(chol.append_row(std::vector<double>{1.0}));
+  ASSERT_TRUE(chol.append_row(std::vector<double>{1.0 + t, 2.0 + 2.0 * t}));
+  ASSERT_EQ(chol.at(1, 0), 1.0 + t);
+  ASSERT_EQ(chol.at(1, 1), 1.0);
+  const std::vector<double> b = {1.0 + t, 1.0 + 2.0 * t};
+  std::vector<double> x(2);
+  chol.solve_lower(b, x);
+  EXPECT_EQ(x[0], 1.0 + t);
+  EXPECT_EQ(x[1], 0.0) << "fused multiply-add gives " << x[1];
+}
+
 TEST(PackedCholesky, ClearResetsToEmpty) {
   PackedCholesky chol;
   ASSERT_TRUE(chol.append_row(std::vector<double>{1.0}));

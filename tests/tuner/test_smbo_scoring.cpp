@@ -57,6 +57,18 @@ TEST(SmboScoring, BoGpPooledAndInlineScoringPickTheSameCandidates) {
   expect_pooled_matches_inline([] { return std::make_unique<BoGp>(); });
 }
 
+TEST(SmboScoring, BoGpRaggedBlocksWithDuplicatesPickTheSameCandidates) {
+  // BO GP scores in blocks of GpRegressor::kBatchLanes. A 61-candidate pool
+  // plus 32 incumbent neighbours gives 93 candidates: the last block is
+  // ragged, and the neighbour blocks hold repeated configurations and
+  // already-proposed (ineligible) ones that the block skips.
+  BoGpOptions gp;
+  gp.acquisition_pool = 61;
+  gp.acquisition_budget = 0;
+  static_assert(GpRegressor::kBatchLanes == 8);
+  expect_pooled_matches_inline([gp] { return std::make_unique<BoGp>(gp); });
+}
+
 TEST(SmboScoring, BoTpePooledAndInlineScoringPickTheSameCandidates) {
   BoTpeOptions tpe;
   tpe.ei_candidates = 128;  // two grain-64 chunks, so the pooled run splits

@@ -96,6 +96,21 @@ const std::set<std::string>& simd_reduce_names() {
   return names;
 }
 
+/// Explicit fused multiply-add: one rounding where the scalar reference
+/// (and every committed figure) rounds the product and the sum separately,
+/// so a kernel that uses one can no longer equal its reference bit for bit.
+bool is_fused_multiply_add(const std::string& id) {
+  if (id == "fma" || id == "fmaf" || id == "fmal") return true;
+  if (id.rfind("__builtin_fma", 0) == 0) return true;
+  if (id.rfind("_mm", 0) != 0) return false;
+  static const char* const kOps[] = {"_fmadd_",    "_fmsub_",    "_fnmadd_",
+                                     "_fnmsub_",   "_fmaddsub_", "_fmsubadd_"};
+  for (const char* op : kOps) {
+    if (id.find(op) != std::string::npos) return true;
+  }
+  return false;
+}
+
 const std::set<std::string>& unordered_container_names() {
   static const std::set<std::string> names = {
       "unordered_map", "unordered_set", "unordered_multimap",
@@ -114,7 +129,8 @@ const std::vector<std::string>& rule_names() {
       "reprolint-nonportable-random",
       "reprolint-unordered-iteration",
       "reprolint-nondet-reduction",
-      "reprolint-raw-thread"};
+      "reprolint-raw-thread",
+      "reprolint-fused-multiply-add"};
   return names;
 }
 
@@ -345,6 +361,15 @@ void lint_content(const std::string& path, const std::string& content,
         prev_is_scope(t, i) && i >= 3 && t[i - 3].text == "execution") {
       emit(path, lx, line, "reprolint-nondet-reduction",
            "parallel execution policy reorders reductions nondeterministically",
+           options, report);
+      continue;
+    }
+
+    // --- reprolint-fused-multiply-add --------------------------------------
+    if (is_fused_multiply_add(id) && is(t, i + 1, "(") && !prev_is_member(t, i)) {
+      emit(path, lx, line, "reprolint-fused-multiply-add",
+           id + " rounds the multiply and the add once; the reference path "
+           "rounds each, so results stop matching it bit for bit",
            options, report);
       continue;
     }

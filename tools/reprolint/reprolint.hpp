@@ -27,6 +27,12 @@
 //                                order is fixed by hardware, not source)
 //   reprolint-raw-thread         std::thread/std::async/pthread_create
 //                                bypassing repro::ThreadPool
+//   reprolint-fused-multiply-add explicit FMA: _mm*_fmadd_* and its
+//                                fmsub/fnmadd/fnmsub/fmaddsub/fmsubadd
+//                                kin, std::fma/fma/fmaf/fmal,
+//                                __builtin_fma* (one rounding where the
+//                                reference and every committed CSV round
+//                                the multiply and the add separately)
 //
 // Suppressions: `// NOLINT(reprolint-<rule>)` on the offending line or
 // `// NOLINTNEXTLINE(reprolint-<rule>)` on the line above. A bare
